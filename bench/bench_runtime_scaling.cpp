@@ -1,11 +1,10 @@
 // Real-execution benchmark of the shared-memory runtime ("DAGuE-lite"):
 // factors an actual matrix with the from-scratch kernels across thread
-// counts, scheduler backends and policies. On a many-core host this shows
-// the parallel scaling of the tile DAG; the backend column is the
-// work-stealing vs global-queue ablation (--sched={both,steal,global}),
-// the policy columns the scheduler-design ablation (priority vs FIFO,
-// data-reuse on/off). Pass --json=PATH for machine-readable results with
-// the per-run scheduler counters (local hits, steals, overflow pops).
+// counts and scheduler policies. On a many-core host this shows the
+// parallel scaling of the tile DAG; the policy columns are the
+// scheduler-design ablation (priority vs FIFO, data-reuse on/off). Pass
+// --json=PATH for machine-readable results with the per-run scheduler
+// counters (data-reuse keeps, queue pops).
 #include <fstream>
 #include <iostream>
 #include <vector>
@@ -25,7 +24,6 @@ namespace {
 
 struct RunRow {
   int threads;
-  SchedulerKind sched;
   bool priority;
   bool reuse;
   double seconds;
@@ -37,21 +35,17 @@ void write_json(const std::string& path, int m, int n, int b, int ib,
                 const std::vector<RunRow>& rows) {
   std::ofstream out(path);
   HQR_CHECK(out.good(), "cannot write " << path);
-  out << "{\n  \"schema\": \"hqr-bench-runtime-v1\",\n"
+  out << "{\n  \"schema\": \"hqr-bench-runtime-v2\",\n"
       << "  \"m\": " << m << ", \"n\": " << n << ", \"b\": " << b
       << ", \"ib\": " << ib << ",\n  \"results\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const RunRow& r = rows[i];
-    out << "    {\"threads\": " << r.threads << ", \"sched\": \""
-        << scheduler_kind_name(r.sched) << "\", \"policy\": \""
+    out << "    {\"threads\": " << r.threads << ", \"policy\": \""
         << (r.priority ? "cp-priority" : "fifo") << "\", \"data_reuse\": "
         << (r.reuse ? "true" : "false") << ", \"seconds\": " << r.seconds
         << ", \"gflops\": " << r.gflops << ", \"tasks\": "
         << r.stats.total_tasks << ", \"reuse_hits\": " << r.stats.reuse_hits
-        << ", \"queue_pops\": " << r.stats.queue_pops << ", \"local_hits\": "
-        << r.stats.local_hits << ", \"steals\": " << r.stats.steals
-        << ", \"steal_fails\": " << r.stats.steal_fails
-        << ", \"overflow_pops\": " << r.stats.overflow_pops << "}"
+        << ", \"queue_pops\": " << r.stats.queue_pops << "}"
         << (i + 1 < rows.size() ? ",\n" : "\n");
   }
   out << "  ]\n}\n";
@@ -66,19 +60,12 @@ int main(int argc, char** argv) {
                                {"n", "512"},
                                {"b", "64"},
                                {"ib", "0"},
-                               {"sched", "both"},
                                {"json", ""},
                                {"csv", ""}}));
   const int m = static_cast<int>(cli.integer("m"));
   const int n = static_cast<int>(cli.integer("n"));
   const int b = static_cast<int>(cli.integer("b"));
   const int ib = static_cast<int>(cli.integer("ib"));
-  std::vector<SchedulerKind> scheds;
-  if (cli.str("sched") == "both") {
-    scheds = {SchedulerKind::Steal, SchedulerKind::Global};
-  } else {
-    scheds = {scheduler_kind_from_name(cli.str("sched"))};
-  }
 
   Rng rng(11);
   Matrix a = random_gaussian(m, n, rng);
@@ -88,33 +75,28 @@ int main(int argc, char** argv) {
   const double gflop = qr_useful_flops(m, n) / 1e9;
 
   std::vector<RunRow> rows;
-  TextTable table({"threads", "sched", "policy", "data-reuse", "seconds",
-                   "GFlop/s", "tasks", "local", "steals", "overflow"});
+  TextTable table({"threads", "policy", "data-reuse", "seconds", "GFlop/s",
+                   "tasks", "reuse", "queue"});
   for (int threads : {1, 2, 4, 8}) {
-    for (SchedulerKind sched : scheds) {
-      for (bool priority : {true, false}) {
-        for (bool reuse : {true, false}) {
-          if (!priority && reuse) continue;  // reuse needs priorities
-          ExecutorOptions opts{threads, priority, reuse, ib, sched};
-          RunStats stats;
-          Stopwatch sw;
-          QRFactors f = qr_factorize_parallel(a, b, list, opts, &stats);
-          const double secs = sw.seconds();
-          (void)f;
-          table.row()
-              .add(threads)
-              .add(scheduler_kind_name(sched))
-              .add(priority ? "cp-priority" : "fifo")
-              .add(reuse ? "on" : "off")
-              .add(secs, 4)
-              .add(gflop / secs, 4)
-              .add(stats.total_tasks)
-              .add(stats.local_hits)
-              .add(stats.steals)
-              .add(stats.overflow_pops);
-          rows.push_back(
-              {threads, sched, priority, reuse, secs, gflop / secs, stats});
-        }
+    for (bool priority : {true, false}) {
+      for (bool reuse : {true, false}) {
+        if (!priority && reuse) continue;  // reuse needs priorities
+        ExecutorOptions opts{threads, priority, reuse, ib};
+        RunStats stats;
+        Stopwatch sw;
+        QRFactors f = qr_factorize_parallel(a, b, list, opts, &stats);
+        const double secs = sw.seconds();
+        (void)f;
+        table.row()
+            .add(threads)
+            .add(priority ? "cp-priority" : "fifo")
+            .add(reuse ? "on" : "off")
+            .add(secs, 4)
+            .add(gflop / secs, 4)
+            .add(stats.total_tasks)
+            .add(stats.reuse_hits)
+            .add(stats.queue_pops);
+        rows.push_back({threads, priority, reuse, secs, gflop / secs, stats});
       }
     }
   }
@@ -126,7 +108,7 @@ int main(int argc, char** argv) {
   // are clean).
   obs::ObsSession obs(cli);
   if (obs.any_enabled() || obs.report_requested()) {
-    ExecutorOptions opts{8, true, true, ib, scheds.front()};
+    ExecutorOptions opts{8, true, true, ib};
     opts.trace = obs.trace();
     opts.metrics = obs.metrics();
     TiledMatrix tiled = TiledMatrix::from_matrix(a, b);
@@ -134,12 +116,9 @@ int main(int argc, char** argv) {
     TaskGraph graph(kernels, probe.mt(), probe.nt());
     QRFactors f(std::move(tiled), std::move(kernels), opts.ib);
     RunStats stats = execute_parallel(f, graph, opts);
-    std::cout << "\nobserved rerun (8 threads, "
-              << scheduler_kind_name(opts.scheduler)
-              << ", cp-priority, data-reuse): " << stats.local_hits
-              << " local pops, " << stats.steals << " steals, "
-              << stats.steal_fails << " failed attempts, "
-              << stats.overflow_pops << " overflow pops\n";
+    std::cout << "\nobserved rerun (8 threads, cp-priority, data-reuse): "
+              << stats.reuse_hits << " data-reuse keeps, "
+              << stats.queue_pops << " queue pops\n";
     obs.finish(&graph);
   }
   return 0;

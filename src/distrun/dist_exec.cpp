@@ -194,10 +194,7 @@ QRFactors dist_qr_factorize(net::Comm& comm, const Matrix& a, int b,
 
   ExecutorOptions eopts;
   eopts.threads = opts.threads;
-  eopts.priority_scheduling = opts.priority_scheduling;
-  eopts.data_reuse = opts.data_reuse;
   eopts.ib = opts.ib;
-  eopts.scheduler = opts.scheduler;
   eopts.trace = opts.trace;
   eopts.metrics = opts.metrics;
   eopts.trace_origin = origin;
@@ -541,7 +538,7 @@ QRFactors dist_qr_factorize(net::Comm& comm, const Matrix& a, int b,
         comm_thread = std::thread([&comm_loop, p] { comm_loop(p); });
       },
       [&] {
-        // Engine (and the port) must outlive the communication thread.
+        // The pool (and the port) must outlive the communication thread.
         stop.store(true, std::memory_order_release);
         if (comm_thread.joinable()) comm_thread.join();
       });

@@ -4,7 +4,8 @@
 // Every rank holds a full replica of the input matrix, deterministically
 // rebuilds the same kernel list, task graph and communication plan
 // (dag/partition.hpp), and executes the owner-computes slice of the DAG on
-// the shared-memory work-stealing executor. Remote dependencies flow as
+// the shared-memory task pool (runtime/dag_pool.hpp), with the other ranks'
+// tasks submitted as external tasks. Remote dependencies flow as
 // tagged tile messages driven by a dedicated communication thread; a
 // completed task's output regions reach each consuming rank exactly once,
 // either posted directly by the producer or relayed down a binomial
@@ -83,11 +84,8 @@ struct DistFaultConfig {
 };
 
 struct DistOptions {
-  int threads = 1;                  // workers per rank
-  bool priority_scheduling = true;  // critical-path depth of the full DAG
-  bool data_reuse = true;
+  int threads = 1;  // workers per rank
   int ib = 0;
-  SchedulerKind scheduler = SchedulerKind::Steal;
   // How a completed task's output reaches its consuming ranks. Binomial
   // (default) forwards through intermediate consumers so no producer's
   // send queue serializes a wide broadcast; Eager posts every frame from

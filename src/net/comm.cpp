@@ -48,6 +48,9 @@ int Comm::peer_epoch(int q) const {
 
 void Comm::sever_link(int q) {
   HQR_CHECK(q >= 0 && q < size() && q != rank_, "bad link peer " << q);
+  // Called from a worker thread: the communication thread may be swapping
+  // in a re-wired socket for q (handle_control) under the same lock.
+  std::lock_guard<std::mutex> lk(send_mu_);
   ::shutdown(peers_[static_cast<std::size_t>(q)].get(), SHUT_RDWR);
 }
 

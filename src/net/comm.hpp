@@ -110,6 +110,7 @@ class Comm {
 
   // Chaos hook (fault/plan.hpp DropLink): hard-closes both directions of
   // the stream to q, so both endpoints observe EOF as if the link failed.
+  // Thread-safe.
   void sever_link(int q);
 
   // Chaos hook (DelayLink): holds outbound frames to q for `seconds`, then

@@ -5,16 +5,27 @@
 #include <mutex>
 #include <queue>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <unordered_map>
 #include <utility>
 
-#include "common/check.hpp"
-#include "runtime/ready_task.hpp"
+#include "common/stopwatch.hpp"
 
 namespace hqr {
 
 namespace {
+
+// Ready-heap entry: max-heap by priority, lower task index first on ties.
+struct ReadyTask {
+  double priority;
+  std::int32_t idx;
+
+  bool operator<(const ReadyTask& o) const {
+    if (priority != o.priority) return priority < o.priority;
+    return idx > o.idx;
+  }
+};
 
 struct DagState {
   DagId id = 0;
@@ -26,7 +37,7 @@ struct DagState {
 
   std::vector<int> npred;       // outstanding predecessors per task
   std::vector<char> external;   // 1 = executed outside the pool
-  std::vector<double> depth;    // critical-path priority within the DAG
+  std::vector<double> depth;    // task priority within the DAG
   std::priority_queue<ReadyTask> ready;
   long long remaining = 0;  // local tasks not yet executed
   long long delivered = 0;  // tasks handed to workers (the fairness key)
@@ -35,14 +46,45 @@ struct DagState {
   bool done = false;
 };
 
+// Admission order between two DAGs with ready work: higher priority first,
+// then the one served fewer tasks so far.
+bool beats(const DagState& a, const DagState& b) {
+  return a.priority > b.priority ||
+         (a.priority == b.priority && a.delivered < b.delivered);
+}
+
+// One worker's accounting; written only by its worker, read after the join.
+struct alignas(64) LaneStats {
+  long long executed = 0;
+  long long reuse_hits = 0;
+  long long queue_pops = 0;
+  std::array<long long, kKernelTypeCount> tasks_by_kernel{};
+  std::array<double, kKernelTypeCount> seconds_by_kernel{};
+  double busy_seconds = 0.0;
+  double idle_seconds = 0.0;
+  double terminal_wait_seconds = 0.0;
+};
+
 }  // namespace
 
 struct DagPool::Impl {
-  explicit Impl(const DagPoolOptions& o) : opts(o) {
-    HQR_CHECK(opts.threads >= 1, "DagPool needs at least one worker");
-    workers.reserve(static_cast<std::size_t>(opts.threads));
-    for (int t = 0; t < opts.threads; ++t)
-      workers.emplace_back([this] { worker(); });
+  explicit Impl(const DagPoolOptions& o)
+      : opts(o), timed(o.trace != nullptr || o.metrics != nullptr) {
+    HQR_CHECK(opts.threads >= 0, "DagPool worker count must be >= 0");
+    if (opts.trace_origin >= 0.0) clock.set_origin(opts.trace_origin);
+    // Lane 0 belongs to the thread that calls shutdown(); lanes 1..threads
+    // to the pool's workers.
+    if (opts.trace) {
+      opts.trace->ensure_lanes(opts.threads + 1);
+      opts.trace->set_labels("worker", "thread");
+    }
+    if (opts.metrics) {
+      tasks_counter = &opts.metrics->counter("dagpool.tasks");
+      for (int t = 0; t < kKernelTypeCount; ++t)
+        kernel_hist[static_cast<std::size_t>(t)] = &opts.metrics->histogram(
+            "exec.task_seconds." + kernel_name(static_cast<KernelType>(t)));
+    }
+    lanes.resize(static_cast<std::size_t>(opts.threads) + 1);
   }
 
   ~Impl() {
@@ -54,11 +96,30 @@ struct DagPool::Impl {
       for (auto& dag : active) leftover.push_back(dag);
     }
     for (auto& dag : leftover) cancel_dag(dag->id);
+    join_workers();
+  }
+
+  // Workers start with the first submit, so no lane books the pool's
+  // start-up as idle time waiting for work that does not exist yet.
+  void start_workers() {
+    std::call_once(started, [this] {
+      workers.reserve(static_cast<std::size_t>(opts.threads));
+      for (int t = 1; t <= opts.threads; ++t)
+        workers.emplace_back([this, t] { worker(t); });
+    });
+  }
+
+  void join_workers() {
+    // Waits out a start_workers() racing teardown, or keeps a later one
+    // from spawning anything.
+    std::call_once(started, [] {});
     {
       std::lock_guard<std::mutex> lk(mu);
+      stopping = true;
       work_cv.notify_all();
     }
-    for (auto& th : workers) th.join();
+    for (auto& th : workers)
+      if (th.joinable()) th.join();
   }
 
   // Highest admission priority first; among equals the DAG served the
@@ -67,16 +128,69 @@ struct DagPool::Impl {
     std::shared_ptr<DagState> best;
     for (auto& dag : active) {
       if (dag->ready.empty()) continue;
-      if (!best || dag->priority > best->priority ||
-          (dag->priority == best->priority && dag->delivered < best->delivered))
-        best = dag;
+      if (!best || beats(*dag, *best)) best = dag;
     }
     return best;
+  }
+
+  // Would pick_best_locked() choose `dag` if it had ready work? The
+  // data-reuse keep may skip the pick only then, so it never overrides
+  // priority or fairness between DAGs.
+  bool would_win_locked(const DagState& dag) {
+    bool earlier = true;  // `o` precedes `dag` in admission order
+    for (auto& o : active) {
+      if (o.get() == &dag) {
+        earlier = false;
+        continue;
+      }
+      if (o->ready.empty()) continue;
+      if (beats(*o, dag) || (earlier && !beats(dag, *o))) return false;
+    }
+    return true;
   }
 
   void push_ready_locked(DagState& dag, std::int32_t idx) {
     dag.ready.push({dag.depth[static_cast<std::size_t>(idx)], idx});
     ++total_ready;
+  }
+
+  void wake(int released) {
+    if (released == 1)
+      work_cv.notify_one();
+    else if (released > 1)
+      work_cv.notify_all();
+  }
+
+  // Decrements the in-pool successors of `producer` and queues the ones
+  // that became ready. With `keep`, the deepest of them is handed back
+  // there instead of queued. Returns how many were queued.
+  int release_locked(DagState& dag, std::int32_t producer,
+                     std::int32_t* keep) {
+    int released = 0;
+    for (std::int32_t s : dag.graph->successors(producer)) {
+      const auto si = static_cast<std::size_t>(s);
+      if (dag.external[si] || --dag.npred[si] != 0) continue;
+      if (keep &&
+          (*keep < 0 ||
+           dag.depth[si] > dag.depth[static_cast<std::size_t>(*keep)])) {
+        if (*keep >= 0) {
+          push_ready_locked(dag, *keep);
+          ++released;
+        }
+        *keep = s;
+      } else {
+        push_ready_locked(dag, s);
+        ++released;
+      }
+    }
+    return released;
+  }
+
+  void cancel_locked(DagState& dag) {
+    if (dag.cancelled) return;
+    dag.cancelled = true;
+    total_ready -= static_cast<long long>(dag.ready.size());
+    dag.ready = {};
   }
 
   // Finish check; fires on_done outside the lock. `lk` must be held.
@@ -113,93 +227,136 @@ struct DagPool::Impl {
       lk.unlock();
       cb(dag->id, cancelled);
       lk.lock();
-      if (--callbacks_inflight == 0) done_cv.notify_all();
+      if (--callbacks_inflight == 0) {
+        done_cv.notify_all();
+        work_cv.notify_all();  // a draining shutdown() may be waiting
+      }
     }
   }
 
-  void worker() {
-    // A few workspaces per worker, LRU by tile size — mixed-b tenants reuse
-    // scratch instead of reallocating per task, but b is client-controlled,
-    // so the cache is capped: a tenant rotating tile sizes cannot grow
-    // O(b^2) scratch per worker without bound.
+  // A few workspaces per worker, LRU by tile size — mixed-b tenants reuse
+  // scratch instead of reallocating per task, but b is client-controlled,
+  // so the cache is capped: a tenant rotating tile sizes cannot grow
+  // O(b^2) scratch per worker without bound.
+  using WorkspaceCache =
+      std::vector<std::pair<int, std::unique_ptr<TileWorkspace>>>;
+
+  static TileWorkspace& workspace_for(WorkspaceCache& cache, int b) {
     constexpr std::size_t kMaxCachedWorkspaces = 4;
-    std::vector<std::pair<int, std::unique_ptr<TileWorkspace>>> ws_cache;
+    for (std::size_t i = 0; i < cache.size(); ++i) {
+      if (cache[i].first == b) {
+        std::rotate(cache.begin() + static_cast<std::ptrdiff_t>(i),
+                    cache.begin() + static_cast<std::ptrdiff_t>(i) + 1,
+                    cache.end());
+        return *cache.back().second;
+      }
+    }
+    auto fresh = std::make_unique<TileWorkspace>(b);
+    if (cache.size() >= kMaxCachedWorkspaces) cache.erase(cache.begin());
+    cache.emplace_back(b, std::move(fresh));
+    return *cache.back().second;
+  }
+
+  // Runs one task outside the lock; false when it threw.
+  bool run_task(int lane, const DagState& dag, std::int32_t idx,
+                WorkspaceCache& cache) {
+    LaneStats& st = lanes[static_cast<std::size_t>(lane)];
+    const KernelOp& op = dag.graph->op(idx);
+    const auto k = static_cast<std::size_t>(kernel_type_index(op.type));
+    const double t0 = timed ? clock.seconds() : 0.0;
+    bool ok = true;
+    try {
+      // Workspace lookup/construction sits inside the try: b is sized by
+      // the client, so an allocation failure here must poison only the
+      // offending DAG, exactly like a throwing kernel.
+      dag.exec(idx, workspace_for(cache, dag.b));
+    } catch (...) {
+      ok = false;
+    }
+    if (timed) {
+      const double t1 = clock.seconds();
+      st.busy_seconds += t1 - t0;
+      st.seconds_by_kernel[k] += t1 - t0;
+      if (opts.metrics) kernel_hist[k]->observe(t1 - t0);
+      if (opts.trace)
+        opts.trace->record(lane, {idx, lane, /*sub=*/0, op.type,
+                                  /*on_accel=*/false, op.row, op.piv, op.k,
+                                  op.j, t0, t1});
+    }
+    ++st.executed;
+    ++st.tasks_by_kernel[k];
+    return ok;
+  }
+
+  // True when `lane` has nothing left to do: pool workers leave once the
+  // pool stops, the shutdown() caller (lane 0) once every DAG and on_done
+  // callback finished.
+  bool lane_done_locked(int lane) const {
+    return active.empty() && (lane == 0 ? callbacks_inflight == 0 : stopping);
+  }
+
+  void worker(int lane) {
+    LaneStats& st = lanes[static_cast<std::size_t>(lane)];
+    WorkspaceCache cache;
+    std::shared_ptr<DagState> dag;
+    std::int32_t idx = -1;  // successor kept by the data-reuse heuristic
     std::unique_lock<std::mutex> lk(mu);
     for (;;) {
-      std::shared_ptr<DagState> dag = pick_best_locked();
-      if (!dag) {
-        if (stopping && active.empty()) return;
-        work_cv.wait(lk);
-        continue;
+      if (idx >= 0) {
+        ++st.reuse_hits;
+      } else {
+        dag = pick_best_locked();
+        if (!dag) {
+          // Nothing ready anywhere. The wait is idle when it ends in a
+          // task and terminal when it ends in shutdown.
+          const double w0 = timed ? clock.seconds() : 0.0;
+          while (!(dag = pick_best_locked())) {
+            if (lane_done_locked(lane)) {
+              if (timed) st.terminal_wait_seconds += clock.seconds() - w0;
+              return;
+            }
+            work_cv.wait(lk);
+          }
+          if (timed) st.idle_seconds += clock.seconds() - w0;
+        }
+        idx = dag->ready.top().idx;
+        dag->ready.pop();
+        --total_ready;
+        ++st.queue_pops;
       }
-      const std::int32_t idx = dag->ready.top().idx;
-      dag->ready.pop();
-      --total_ready;
       ++dag->delivered;
       ++dag->inflight;
       lk.unlock();
-
-      bool failed = false;
-      try {
-        // Workspace lookup/construction sits inside the try: b is sized by
-        // the client, so an allocation failure here must poison only the
-        // offending DAG, exactly like a throwing kernel.
-        TileWorkspace* ws = nullptr;
-        for (std::size_t i = 0; i < ws_cache.size(); ++i) {
-          if (ws_cache[i].first == dag->b) {
-            std::rotate(ws_cache.begin() + static_cast<std::ptrdiff_t>(i),
-                        ws_cache.begin() + static_cast<std::ptrdiff_t>(i) + 1,
-                        ws_cache.end());
-            ws = ws_cache.back().second.get();
-            break;
-          }
-        }
-        if (!ws) {
-          auto fresh = std::make_unique<TileWorkspace>(dag->b);
-          if (ws_cache.size() >= kMaxCachedWorkspaces)
-            ws_cache.erase(ws_cache.begin());
-          ws_cache.emplace_back(dag->b, std::move(fresh));
-          ws = ws_cache.back().second.get();
-        }
-        dag->exec(idx, *ws);
-      } catch (...) {
-        // A throwing kernel poisons only its own DAG, never the pool: the
-        // DAG is cancelled and its waiter sees "not completed".
-        failed = true;
-      }
-
+      // A throwing task poisons only its own DAG, never the pool: the DAG
+      // is cancelled and its waiter sees "not completed".
+      const bool failed = !run_task(lane, *dag, idx, cache);
       lk.lock();
+
       --dag->inflight;
       ++pool_stats.tasks_executed;
-      if (opts.metrics) opts.metrics->counter("dagpool.tasks").add(1);
-      if (failed && !dag->cancelled) {
-        dag->cancelled = true;
-        total_ready -= static_cast<long long>(dag->ready.size());
-        dag->ready = {};
-      }
+      if (tasks_counter) tasks_counter->add(1);
+      if (failed) cancel_locked(*dag);
+      std::int32_t keep = -1;
       if (!dag->cancelled) {
         --dag->remaining;
-        int released = 0;
-        for (std::int32_t s : dag->graph->successors(idx)) {
-          if (dag->external[static_cast<std::size_t>(s)]) continue;
-          if (--dag->npred[static_cast<std::size_t>(s)] == 0) {
-            push_ready_locked(*dag, s);
-            ++released;
-          }
+        int released =
+            release_locked(*dag, idx, opts.data_reuse ? &keep : nullptr);
+        if (keep >= 0 && !would_win_locked(*dag)) {
+          push_ready_locked(*dag, keep);
+          ++released;
+          keep = -1;
         }
-        if (released == 1)
-          work_cv.notify_one();
-        else if (released > 1)
-          work_cv.notify_all();
+        wake(released);
       }
+      idx = keep;
+      // With a kept task the DAG still has work, so this cannot finish it.
       maybe_finish_locked(lk, dag);
     }
   }
 
   DagId submit_dag(std::shared_ptr<const TaskGraph> graph, int b,
                    ExecuteFn exec, DagSubmitOptions sopts) {
-    HQR_CHECK(graph != nullptr && graph->size() > 0,
-              "DagPool::submit needs a non-empty graph");
+    HQR_CHECK(graph != nullptr, "DagPool::submit needs a graph");
     HQR_CHECK(b >= 1, "tile size must be >= 1");
     auto dag = std::make_shared<DagState>();
     dag->graph = std::move(graph);
@@ -217,7 +374,16 @@ struct DagPool::Impl {
     dag->npred.resize(static_cast<std::size_t>(n));
     for (int i = 0; i < n; ++i)
       dag->npred[static_cast<std::size_t>(i)] = dag->graph->num_predecessors(i);
-    dag->graph->critical_path(unit_weight_duration, &dag->depth);
+    if (opts.priority_scheduling) {
+      // Depth on the critical path of the FULL graph, external tasks
+      // included — what the cluster simulator assumes every node
+      // schedules by.
+      dag->graph->critical_path(unit_weight_duration, &dag->depth);
+    } else {
+      dag->depth.resize(static_cast<std::size_t>(n));
+      for (int i = 0; i < n; ++i)
+        dag->depth[static_cast<std::size_t>(i)] = static_cast<double>(n - i);
+    }
     for (int i = 0; i < n; ++i)
       if (!dag->external[static_cast<std::size_t>(i)]) ++dag->remaining;
 
@@ -249,13 +415,12 @@ struct DagPool::Impl {
       opts.metrics->gauge("dagpool.active_dags")
           .set(static_cast<double>(active.size()));
     }
-    if (seeded == 1)
-      work_cv.notify_one();
-    else if (seeded > 1)
-      work_cv.notify_all();
+    wake(seeded);
     const DagId id = dag->id;
     // A DAG whose every task is external finishes without running anything.
     maybe_finish_locked(lk, dag);
+    lk.unlock();
+    start_workers();
     return id;
   }
 
@@ -275,16 +440,50 @@ struct DagPool::Impl {
     done_cv.wait(lk, [&] { return active.empty() && callbacks_inflight == 0; });
   }
 
+  RunStats shutdown_pool() {
+    worker(0);
+    join_workers();
+    RunStats s;
+    s.threads = static_cast<int>(lanes.size());
+    s.seconds = lifetime.seconds();
+    for (const LaneStats& w : lanes) {
+      s.tasks_per_thread.push_back(w.executed);
+      s.total_tasks += w.executed;
+      s.reuse_hits += w.reuse_hits;
+      s.queue_pops += w.queue_pops;
+      for (std::size_t t = 0; t < w.tasks_by_kernel.size(); ++t) {
+        s.tasks_by_kernel[t] += w.tasks_by_kernel[t];
+        s.seconds_by_kernel[t] += w.seconds_by_kernel[t];
+      }
+      if (timed) {
+        s.busy_seconds_per_thread.push_back(w.busy_seconds);
+        s.idle_seconds_per_thread.push_back(w.idle_seconds);
+        s.terminal_wait_seconds_per_thread.push_back(w.terminal_wait_seconds);
+      }
+    }
+    if (opts.metrics) {
+      obs::MetricsRegistry& m = *opts.metrics;
+      m.counter("exec.tasks").add(s.total_tasks);
+      m.counter("exec.reuse_hits").add(s.reuse_hits);
+      m.counter("exec.queue_pops").add(s.queue_pops);
+      m.gauge("exec.seconds").add(s.seconds);
+      for (std::size_t t = 0; t < lanes.size(); ++t) {
+        const std::string lane = "exec.worker." + std::to_string(t);
+        m.gauge(lane + ".busy_seconds").add(lanes[t].busy_seconds);
+        m.gauge(lane + ".idle_seconds").add(lanes[t].idle_seconds);
+        m.gauge(lane + ".terminal_wait_seconds")
+            .add(lanes[t].terminal_wait_seconds);
+      }
+    }
+    return s;
+  }
+
   bool cancel_dag(DagId id) {
     std::unique_lock<std::mutex> lk(mu);
     auto it = live.find(id);
     if (it == live.end()) return false;
     auto dag = it->second;
-    if (!dag->cancelled) {
-      dag->cancelled = true;
-      total_ready -= static_cast<long long>(dag->ready.size());
-      dag->ready = {};
-    }
+    cancel_locked(*dag);
     maybe_finish_locked(lk, dag);
     return true;
   }
@@ -293,24 +492,13 @@ struct DagPool::Impl {
     std::unique_lock<std::mutex> lk(mu);
     auto it = live.find(id);
     if (it == live.end()) return;  // DAG already finished: stale completion
-    auto dag = it->second;
-    if (dag->cancelled) return;
-    const int n = dag->graph->size();
+    DagState& dag = *it->second;
+    if (dag.cancelled) return;
+    const int n = dag.graph->size();
     HQR_CHECK(producer >= 0 && producer < n,
               "external completion for task " << producer
                                               << " outside graph of " << n);
-    int released = 0;
-    for (std::int32_t s : dag->graph->successors(producer)) {
-      if (dag->external[static_cast<std::size_t>(s)]) continue;
-      if (--dag->npred[static_cast<std::size_t>(s)] == 0) {
-        push_ready_locked(*dag, s);
-        ++released;
-      }
-    }
-    if (released == 1)
-      work_cv.notify_one();
-    else if (released > 1)
-      work_cv.notify_all();
+    wake(release_locked(dag, producer, /*keep=*/nullptr));
   }
 
   // (dag, task)-namespaced external-completion port: the DAG id is bound
@@ -329,6 +517,11 @@ struct DagPool::Impl {
   };
 
   DagPoolOptions opts;
+  const bool timed;  // a sink is attached: time every task and wait
+  Stopwatch lifetime;
+  Stopwatch clock;  // trace time base (rebased onto opts.trace_origin)
+  obs::Counter* tasks_counter = nullptr;
+  std::array<obs::Histogram*, kKernelTypeCount> kernel_hist{};
   mutable std::mutex mu;
   std::condition_variable work_cv;
   std::condition_variable done_cv;
@@ -340,6 +533,8 @@ struct DagPool::Impl {
   long long total_ready = 0;
   long long callbacks_inflight = 0;  // on_done invocations not yet returned
   DagPoolStats pool_stats;
+  std::vector<LaneStats> lanes;
+  std::once_flag started;  // workers spawned (or never will be)
   std::vector<std::thread> workers;
 };
 
@@ -357,6 +552,8 @@ DagId DagPool::submit(std::shared_ptr<const TaskGraph> graph, int b,
 bool DagPool::wait(DagId id) { return impl_->wait_dag(id); }
 
 void DagPool::wait_all() { impl_->wait_all_dags(); }
+
+RunStats DagPool::shutdown() { return impl_->shutdown_pool(); }
 
 bool DagPool::cancel(DagId id) { return impl_->cancel_dag(id); }
 

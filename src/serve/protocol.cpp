@@ -45,11 +45,13 @@ Matrix get_matrix(PayloadReader& r) {
   const std::int32_t cols = get_i32(r);
   HQR_CHECK(rows >= 0 && cols >= 0, "malformed matrix block: " << rows << "x"
                                                                << cols);
-  const std::size_t need = static_cast<std::size_t>(rows) *
-                           static_cast<std::size_t>(cols) * sizeof(double);
-  HQR_CHECK(need <= r.remaining(), "malformed matrix block: " << rows << "x"
-                                                              << cols
-                                                              << " overruns payload");
+  // Division, not rows*cols*8: that product wraps size_t for large
+  // dimensions and would let an undersized payload through.
+  HQR_CHECK(cols == 0 || static_cast<std::size_t>(rows) <=
+                             r.remaining() / sizeof(double) /
+                                 static_cast<std::size_t>(cols),
+            "malformed matrix block: " << rows << "x" << cols
+                                       << " overruns payload");
   return get_matrix_data(r, rows, cols);
 }
 
@@ -294,7 +296,10 @@ std::vector<Matrix> decode_batch_result(
     const std::vector<std::uint8_t>& payload) {
   PayloadReader r(payload);
   const std::int32_t count = get_i32(r);
-  HQR_CHECK(count >= 0, "malformed batch result count " << count);
+  // Every matrix carries at least its 8-byte rows/cols header, which bounds
+  // the count before anything is reserved.
+  HQR_CHECK(count >= 0 && static_cast<std::size_t>(count) <= r.remaining() / 8,
+            "malformed batch result count " << count);
   std::vector<Matrix> rs;
   rs.reserve(static_cast<std::size_t>(count));
   for (std::int32_t p = 0; p < count; ++p) rs.push_back(get_matrix(r));

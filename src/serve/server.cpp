@@ -70,6 +70,7 @@ struct SessionShared {
 
 struct Server::Impl {
   explicit Impl(const ServerOptions& o) : opts(o) {
+    HQR_CHECK(opts.threads >= 1, "server needs at least one worker thread");
     DagPoolOptions popts;
     popts.threads = opts.threads;
     popts.max_active_dags = opts.limits.max_active_dags;

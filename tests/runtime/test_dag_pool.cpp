@@ -69,22 +69,22 @@ TEST(DagPool, SingleDagBitIdenticalToSequential) {
   }
 }
 
-TEST(DagPool, SingleDagBitIdenticalToExecutorPath) {
-  // The multi-DAG pool and the single-DAG executor must agree bitwise —
-  // the pinned guarantee that adding the pool changed no numerics.
+TEST(DagPool, ExecutorPathBitIdenticalToSequential) {
+  // qr_factorize_parallel submits its graph to a private pool; the result
+  // must match the sequential factorization bitwise, with and without the
+  // data-reuse keep.
   Rng rng(5);
   Matrix a0 = random_gaussian(36, 20, rng);
   auto list = per_panel_tree_list(TreeKind::Binary, 9, 5);
-  ExecutorOptions eopts{4, true, true};
-  QRFactors par = qr_factorize_parallel(a0, 4, list, eopts);
-
-  DagPoolOptions opts;
-  opts.threads = 4;
-  DagPool pool(opts);
-  Job j = make_job(a0, 4, list);
-  DagId id = pool.submit(j.graph, 4, exec_fn(j.f));
-  EXPECT_TRUE(pool.wait(id));
-  EXPECT_EQ(max_abs_diff(extract_r(par).view(), extract_r(*j.f).view()), 0.0);
+  QRFactors seq = qr_factorize_sequential(a0, 4, list);
+  for (bool reuse : {true, false}) {
+    ExecutorOptions eopts{4, true, reuse};
+    QRFactors par = qr_factorize_parallel(a0, 4, list, eopts);
+    EXPECT_EQ(max_abs_diff(seq.a().to_padded_matrix().view(),
+                           par.a().to_padded_matrix().view()),
+              0.0)
+        << "data_reuse=" << reuse;
+  }
 }
 
 TEST(DagPool, EightConcurrentDagsOnOnePool) {
@@ -244,6 +244,77 @@ TEST(DagPool, EqualPriorityDagsInterleaveFairly) {
   ASSERT_EQ(order.size(), 8u);
   for (std::size_t i = 1; i < order.size(); ++i)
     EXPECT_NE(order[i], order[i - 1]) << "chains did not alternate at " << i;
+}
+
+TEST(DagPool, ReuseKeepFollowsTheAdmissionPick) {
+  // Alone, a chain runs entirely through the data-reuse keep after its
+  // root. Next to an equal-priority chain, the other DAG always wins the
+  // fairness pick, so the keep must never be taken: every task goes back
+  // through the queue and the chains alternate.
+  Rng rng(31);
+  Matrix a = random_gaussian(32, 8, rng);
+  auto list = flat_ts_list(4, 1);  // GEQRT then three TSQRTs, one chain
+  {
+    DagPoolOptions opts;
+    DagPool pool(opts);
+    Job j = make_job(a, 8, list);
+    EXPECT_TRUE(pool.wait(pool.submit(j.graph, 8, exec_fn(j.f))));
+    const RunStats st = pool.shutdown();
+    EXPECT_EQ(st.total_tasks, 4);
+    EXPECT_EQ(st.queue_pops, 1);
+    EXPECT_EQ(st.reuse_hits, 3);
+  }
+  DagPoolOptions opts;
+  DagPool pool(opts);
+  std::promise<void> release;
+  std::shared_future<void> released(release.get_future());
+  pool.submit(one_task_graph(), 1,
+              [released](std::int32_t, TileWorkspace&) { released.wait(); });
+  Job ja = make_job(a, 8, list);
+  Job jb = make_job(a, 8, list);
+  const DagId ida = pool.submit(ja.graph, 8, exec_fn(ja.f));
+  const DagId idb = pool.submit(jb.graph, 8, exec_fn(jb.f));
+  release.set_value();
+  // Wait on the single worker before shutdown() adds the caller as a lane.
+  EXPECT_TRUE(pool.wait(ida));
+  EXPECT_TRUE(pool.wait(idb));
+  const RunStats st = pool.shutdown();
+  EXPECT_EQ(st.total_tasks, 9);
+  EXPECT_EQ(st.reuse_hits, 0);
+  QRFactors seq = qr_factorize_sequential(a, 8, list);
+  EXPECT_EQ(max_abs_diff(extract_r(seq).view(), extract_r(*ja.f).view()), 0.0);
+  EXPECT_EQ(max_abs_diff(extract_r(seq).view(), extract_r(*jb.f).view()), 0.0);
+}
+
+TEST(DagPool, ShutdownReportsLaneAccountingAndRefusesSubmits) {
+  obs::TraceRecorder trace;
+  obs::MetricsRegistry metrics;
+  DagPoolOptions opts;
+  opts.threads = 3;
+  opts.trace = &trace;
+  opts.metrics = &metrics;
+  DagPool pool(opts);
+  Rng rng(37);
+  Matrix a = random_gaussian(48, 24, rng);
+  Job j = make_job(a, 8, flat_ts_list(6, 3));
+  pool.submit(j.graph, 8, exec_fn(j.f));
+  // The caller works as lane 0 beside the three workers until the DAG is
+  // done.
+  const RunStats st = pool.shutdown();
+  EXPECT_EQ(st.threads, 4);
+  ASSERT_EQ(st.tasks_per_thread.size(), 4u);
+  EXPECT_EQ(st.total_tasks, j.graph->size());
+  EXPECT_EQ(st.reuse_hits + st.queue_pops, st.total_tasks);
+  EXPECT_EQ(static_cast<long long>(trace.size()), st.total_tasks);
+  EXPECT_EQ(metrics.counter("exec.tasks").value(), st.total_tasks);
+  EXPECT_EQ(metrics.counter("dagpool.tasks").value(), st.total_tasks);
+  ASSERT_EQ(st.busy_seconds_per_thread.size(), 4u);
+  ASSERT_EQ(st.terminal_wait_seconds_per_thread.size(), 4u);
+  QRFactors seq = qr_factorize_sequential(a, 8, flat_ts_list(6, 3));
+  EXPECT_EQ(max_abs_diff(extract_r(seq).view(), extract_r(*j.f).view()), 0.0);
+  EXPECT_THROW(pool.submit(j.graph, 8, exec_fn(j.f)), Error);
+  // Ports outlive the workers; late completions are ignored.
+  pool.port(1)->remote_complete(0);
 }
 
 TEST(DagPool, CancelledDagReportsCancelled) {

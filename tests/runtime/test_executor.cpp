@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
 #include <tuple>
 
 #include "common/rng.hpp"
@@ -49,6 +50,72 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(1, 2, 4, 8),
                        ::testing::Bool(),   // priority scheduling
                        ::testing::Bool())); // data reuse
+
+// Bit-identity rows: kernels on dependent tiles are ordered by the graph
+// and independent kernels touch disjoint tiles, so every schedule the pool
+// may pick — any worker count, priority on or off, any interleaving —
+// reproduces the sequential factors to the last bit.
+struct IdentityCase {
+  const char* name;
+  int m, n, b;
+  int threads;
+  bool priority;
+  int runs;  // repeated runs, each compared with the sequential result
+  EliminationList (*list)(int mt, int nt);
+};
+
+EliminationList greedy_list(int mt, int nt) {
+  return greedy_global_list(mt, nt).list;
+}
+EliminationList binary_flat_list(int mt, int nt) {
+  return hqr_elimination_list(
+      mt, nt, HqrConfig{2, 2, TreeKind::Binary, TreeKind::Flat, true});
+}
+EliminationList greedy_fibonacci_list(int mt, int nt) {
+  return hqr_elimination_list(
+      mt, nt, HqrConfig{3, 2, TreeKind::Greedy, TreeKind::Fibonacci, true});
+}
+
+class ExecutorIdentity : public ::testing::TestWithParam<IdentityCase> {};
+
+TEST_P(ExecutorIdentity, BitIdenticalToSequential) {
+  const IdentityCase& c = GetParam();
+  Rng rng(101 + c.threads + (c.priority ? 17 : 0));
+  Matrix a0 = random_gaussian(c.m, c.n, rng);
+  const EliminationList list = c.list(c.m / c.b, c.n / c.b);
+  const Matrix seq =
+      qr_factorize_sequential(a0, c.b, list).a().to_padded_matrix();
+  ExecutorOptions opts{c.threads, c.priority, /*data_reuse=*/true};
+  for (int run = 0; run < c.runs; ++run) {
+    RunStats stats;
+    QRFactors f = qr_factorize_parallel(a0, c.b, list, opts, &stats);
+    EXPECT_EQ(stats.reuse_hits + stats.queue_pops, stats.total_tasks);
+    EXPECT_EQ(max_abs_diff(seq.view(), f.a().to_padded_matrix().view()), 0.0)
+        << "run " << run;
+    if (run == 0) expect_exact(a0, f);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Schedules, ExecutorIdentity,
+    ::testing::Values(
+        // Tiny tiles and a wide-fanout elimination order: far more ready
+        // tasks than workers, so all eight workers contend for the queue.
+        IdentityCase{"WideFanoutTinyTiles8Workers", 120, 60, 4, 8, true, 1,
+                     greedy_list},
+        IdentityCase{"RepeatedRuns8Workers", 40, 20, 4, 8, true, 5,
+                     binary_flat_list},
+        IdentityCase{"PriorityOn1Worker", 48, 28, 4, 1, true, 1,
+                     greedy_fibonacci_list},
+        IdentityCase{"PriorityOff1Worker", 48, 28, 4, 1, false, 1,
+                     greedy_fibonacci_list},
+        IdentityCase{"PriorityOn8Workers", 48, 28, 4, 8, true, 1,
+                     greedy_fibonacci_list},
+        IdentityCase{"PriorityOff8Workers", 48, 28, 4, 8, false, 1,
+                     greedy_fibonacci_list}),
+    [](const ::testing::TestParamInfo<IdentityCase>& info) {
+      return std::string(info.param.name);
+    });
 
 TEST(Executor, MatchesSequentialResultBitwiseSingleThread) {
   // One worker with priority ordering executes a deterministic schedule;
@@ -118,15 +185,11 @@ TEST(Executor, StatsTraceAndMetricsAgreeOnTaskCounts) {
   EXPECT_EQ(per_kernel, stats.total_tasks);
   EXPECT_EQ(static_cast<long long>(trace.size()), stats.total_tasks);
   EXPECT_EQ(metrics.counter("exec.tasks").value(), stats.total_tasks);
+  // Every task was either kept by the data-reuse heuristic or popped from
+  // a ready queue, and the metrics registry mirrors both counts.
   EXPECT_EQ(stats.reuse_hits + stats.queue_pops, stats.total_tasks);
-  // Under the (default) stealing backend, queue pops split exactly into
-  // the three acquisition paths, and the metrics registry mirrors them.
-  EXPECT_EQ(stats.local_hits + stats.steals + stats.overflow_pops,
-            stats.queue_pops);
-  EXPECT_EQ(metrics.counter("exec.local_hits").value(), stats.local_hits);
-  EXPECT_EQ(metrics.counter("exec.steals").value(), stats.steals);
-  EXPECT_EQ(metrics.counter("exec.overflow_pops").value(),
-            stats.overflow_pops);
+  EXPECT_EQ(metrics.counter("exec.reuse_hits").value(), stats.reuse_hits);
+  EXPECT_EQ(metrics.counter("exec.queue_pops").value(), stats.queue_pops);
 
   // Observed run fills the timing breakdowns.
   ASSERT_EQ(stats.busy_seconds_per_thread.size(), 4u);
@@ -167,19 +230,14 @@ TEST(Executor, OneThreadTracedRunReportsNoIdle) {
   // acquire is reported separately, never as idle.
   Rng rng(31);
   Matrix a0 = random_gaussian(32, 16, rng);
-  for (SchedulerKind sched : {SchedulerKind::Steal, SchedulerKind::Global}) {
-    ExecutorOptions opts{1, true, true};
-    opts.scheduler = sched;
-    obs::TraceRecorder trace;
-    opts.trace = &trace;
-    RunStats stats;
-    qr_factorize_parallel(a0, 4, greedy_global_list(8, 4).list, opts, &stats);
-    ASSERT_EQ(stats.idle_seconds_per_thread.size(), 1u)
-        << scheduler_kind_name(sched);
-    EXPECT_LT(stats.idle_seconds_per_thread[0], 5e-3)
-        << scheduler_kind_name(sched);
-    ASSERT_EQ(stats.terminal_wait_seconds_per_thread.size(), 1u);
-  }
+  ExecutorOptions opts{1, true, true};
+  obs::TraceRecorder trace;
+  opts.trace = &trace;
+  RunStats stats;
+  qr_factorize_parallel(a0, 4, greedy_global_list(8, 4).list, opts, &stats);
+  ASSERT_EQ(stats.idle_seconds_per_thread.size(), 1u);
+  EXPECT_LT(stats.idle_seconds_per_thread[0], 5e-3);
+  ASSERT_EQ(stats.terminal_wait_seconds_per_thread.size(), 1u);
 }
 
 TEST(Executor, ShutdownWaitNotBookedAsIdle) {
@@ -188,21 +246,17 @@ TEST(Executor, ShutdownWaitNotBookedAsIdle) {
   // inflate the per-lane idle (stall) numbers.
   Rng rng(33);
   Matrix a0 = random_gaussian(4, 4, rng);
-  for (SchedulerKind sched : {SchedulerKind::Steal, SchedulerKind::Global}) {
-    ExecutorOptions opts{8, true, true};
-    opts.scheduler = sched;
-    obs::TraceRecorder trace;
-    opts.trace = &trace;
-    RunStats stats;
-    QRFactors f = qr_factorize_parallel(a0, 4, flat_ts_list(1, 1), opts,
-                                        &stats);
-    expect_exact(a0, f);
-    EXPECT_EQ(stats.total_tasks, 1);
-    double idle = 0.0;
-    for (double s : stats.idle_seconds_per_thread) idle += s;
-    EXPECT_LT(idle, 5e-3) << scheduler_kind_name(sched);
-    ASSERT_EQ(stats.terminal_wait_seconds_per_thread.size(), 8u);
-  }
+  ExecutorOptions opts{8, true, true};
+  obs::TraceRecorder trace;
+  opts.trace = &trace;
+  RunStats stats;
+  QRFactors f = qr_factorize_parallel(a0, 4, flat_ts_list(1, 1), opts, &stats);
+  expect_exact(a0, f);
+  EXPECT_EQ(stats.total_tasks, 1);
+  double idle = 0.0;
+  for (double s : stats.idle_seconds_per_thread) idle += s;
+  EXPECT_LT(idle, 5e-3);
+  ASSERT_EQ(stats.terminal_wait_seconds_per_thread.size(), 8u);
 }
 
 TEST(Executor, BatchedReleaseWideFanoutStaysExact) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
 
 #include "common/rng.hpp"
@@ -110,6 +111,24 @@ TEST(Protocol, DecodeRejectsWithoutAllocating) {
   auto e = decode_submit_qr(wire, small_limits(), &back);
   ASSERT_TRUE(e.has_value());
   EXPECT_EQ(e->code, ErrorCode::TooLarge);
+
+  // Client-side reply decoders: a batch count of INT32_MAX in a 4-byte
+  // reply must not reserve 16 GiB of Matrix slots...
+  const auto i32_bytes = [](std::int32_t v) {
+    std::vector<std::uint8_t> b(sizeof(v));
+    std::memcpy(b.data(), &v, sizeof(v));
+    return b;
+  };
+  EXPECT_THROW(decode_batch_result(i32_bytes(INT32_MAX)), Error);
+  // ...and a matrix header whose rows*cols*8 wraps size_t to 13224 bytes
+  // must not pass the payload check with exactly that many bytes behind it.
+  std::vector<std::uint8_t> wrapped = i32_bytes(1);
+  for (std::int32_t dim : {1519111591, 1517889155}) {
+    const std::vector<std::uint8_t> d = i32_bytes(dim);
+    wrapped.insert(wrapped.end(), d.begin(), d.end());
+  }
+  wrapped.resize(wrapped.size() + 13224, 0);
+  EXPECT_THROW(decode_batch_result(wrapped), Error);
 }
 
 TEST(Protocol, DecodeFlagsTruncationAndTrailingBytes) {

@@ -19,7 +19,7 @@ rates from different machines gate on hardware, not regressions. Pass
 box that produced the checked-in baseline, gating on ratio measures).
 
 Supported schemas: hqr-bench-kernels-v1/v2 (results/speedups/end_to_end),
-hqr-bench-dist-v1/v2, hqr-bench-runtime-v1, hqr-bench-serve-v1 (latency
+hqr-bench-dist-v1/v2, hqr-bench-runtime-v1/v2, hqr-bench-serve-v1 (latency
 percentiles p50/p95/p99 gate lower-better with the same tolerance) and
 hqr-bench-fault-v1 (base/fault makespans and recovery_inflation gate
 lower-better; the deterministic recovery counters are provenance, not
