@@ -9,6 +9,7 @@
 #include <atomic>
 #include <chrono>
 #include <csignal>
+#include <cstdint>
 #include <thread>
 #include <unistd.h>
 
@@ -17,6 +18,7 @@
 #include "distrun/dist_exec.hpp"
 #include "fault/ft_launcher.hpp"
 #include "linalg/random_matrix.hpp"
+#include "net/comm.hpp"
 #include "net/launcher.hpp"
 #include "trees/hqr_tree.hpp"
 
@@ -69,8 +71,18 @@ TEST(FaultPaths, LaunchReportRecordsCleanExits) {
 
 TEST(FaultPaths, TermGraceLetsRanksExitCleanlyDuringTeardown) {
   const auto rank_main = [](net::Comm& comm) -> int {
-    if (comm.rank() == 0) return 9;  // first failure triggers teardown
+    // Rank 1 reports once its handler is in place, so the teardown's
+    // SIGTERM cannot reach it before the handler does.
+    if (comm.rank() == 0) {
+      bool ready = false;
+      for (int spin = 0; spin < 100000 && !ready; ++spin)
+        comm.pump(1, [&](net::Message&&) { ready = true; });
+      return ready ? 9 : 8;  // first failure triggers teardown
+    }
     std::signal(SIGTERM, [](int) { ::_exit(17); });
+    const std::int32_t me = comm.rank();
+    comm.post(0, net::Tag::Data, me, &me, sizeof(me));
+    while (!comm.flushed()) comm.pump(1, [](net::Message&&) {});
     for (;;) std::this_thread::sleep_for(std::chrono::milliseconds(10));
   };
   net::LaunchOptions lopts;

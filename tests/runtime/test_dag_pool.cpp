@@ -7,10 +7,12 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <queue>
 #include <thread>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "common/stopwatch.hpp"
 #include "core/factorization.hpp"
 #include "linalg/random_matrix.hpp"
 #include "linalg/tiled_matrix.hpp"
@@ -449,6 +451,311 @@ TEST(DagPool, AdmissionLimitThrowsTypedOverload) {
   release(d);
   pool.wait_all();
   EXPECT_EQ(pool.active_dags(), 0);
+}
+
+// The single-lane schedule the pool documents, replayed off-line: ready
+// tasks pop highest `prio` first (lower index on ties); with `reuse`, a
+// finished task hands its deepest newly-ready successor (the first one in
+// successor order on ties) straight to the lane and queues the rest.
+std::vector<std::int32_t> single_lane_schedule(const TaskGraph& g,
+                                               const std::vector<double>& prio,
+                                               bool reuse, long long* keeps) {
+  const auto before = [&](std::int32_t x, std::int32_t y) {
+    const auto xi = static_cast<std::size_t>(x);
+    const auto yi = static_cast<std::size_t>(y);
+    return prio[xi] != prio[yi] ? prio[xi] < prio[yi] : x > y;
+  };
+  std::priority_queue<std::int32_t, std::vector<std::int32_t>,
+                      decltype(before)>
+      ready(before);
+  std::vector<int> npred(static_cast<std::size_t>(g.size()));
+  for (int i = 0; i < g.size(); ++i) {
+    npred[static_cast<std::size_t>(i)] = g.num_predecessors(i);
+    if (npred[static_cast<std::size_t>(i)] == 0) ready.push(i);
+  }
+  std::vector<std::int32_t> order;
+  *keeps = 0;
+  std::int32_t next = -1;
+  while (next >= 0 || !ready.empty()) {
+    if (next < 0) {
+      next = ready.top();
+      ready.pop();
+    } else {
+      ++*keeps;
+    }
+    const std::int32_t t = next;
+    order.push_back(t);
+    next = -1;
+    for (std::int32_t s : g.successors(t)) {
+      if (--npred[static_cast<std::size_t>(s)] != 0) continue;
+      if (reuse && (next < 0 || prio[static_cast<std::size_t>(s)] >
+                                    prio[static_cast<std::size_t>(next)])) {
+        if (next >= 0) ready.push(next);
+        next = s;
+      } else {
+        ready.push(s);
+      }
+    }
+  }
+  return order;
+}
+
+// Runs one factorization on a zero-worker pool, so every task executes on
+// the shutdown() caller in the pool's own order, and checks that order
+// against single_lane_schedule.
+void expect_single_lane_order(bool priority, bool reuse) {
+  Rng rng(41);
+  Matrix a = random_gaussian(48, 32, rng);
+  const auto list = greedy_global_list(6, 4).list;
+  Job j = make_job(a, 8, list);
+  std::vector<double> prio(static_cast<std::size_t>(j.graph->size()));
+  if (priority) {
+    j.graph->critical_path(unit_weight_duration, &prio);
+  } else {
+    for (int i = 0; i < j.graph->size(); ++i)
+      prio[static_cast<std::size_t>(i)] = -static_cast<double>(i);
+  }
+  long long keeps = 0;
+  const std::vector<std::int32_t> expected =
+      single_lane_schedule(*j.graph, prio, reuse, &keeps);
+
+  DagPoolOptions opts;
+  opts.threads = 0;
+  opts.priority_scheduling = priority;
+  opts.data_reuse = reuse;
+  DagPool pool(opts);
+  std::vector<std::int32_t> order;
+  auto run = exec_fn(j.f);
+  pool.submit(j.graph, 8, [&](std::int32_t idx, TileWorkspace& ws) {
+    order.push_back(idx);
+    run(idx, ws);
+  });
+  const RunStats st = pool.shutdown();
+  EXPECT_EQ(order, expected);
+  EXPECT_EQ(st.reuse_hits, keeps);
+  EXPECT_EQ(st.queue_pops, st.total_tasks - keeps);
+  if (reuse) {
+    EXPECT_GT(keeps, 0);
+  }
+  QRFactors seq = qr_factorize_sequential(a, 8, list);
+  EXPECT_EQ(max_abs_diff(extract_r(seq).view(), extract_r(*j.f).view()), 0.0);
+}
+
+TEST(DagPool, FifoOrderRunsLowestReadyIndexFirst) {
+  expect_single_lane_order(/*priority=*/false, /*reuse=*/false);
+}
+
+TEST(DagPool, CriticalPathOrderRunsDeepestReadyFirst) {
+  expect_single_lane_order(/*priority=*/true, /*reuse=*/false);
+}
+
+TEST(DagPool, ReuseKeepRunsDeepestNewlyReadySuccessorNext) {
+  expect_single_lane_order(/*priority=*/true, /*reuse=*/true);
+}
+
+TEST(DagPool, ZeroWorkerPoolRunsEverythingInShutdown) {
+  DagPoolOptions opts;
+  opts.threads = 0;
+  DagPool pool(opts);
+  Rng rng(43);
+  Matrix a = random_gaussian(32, 16, rng);
+  Job j = make_job(a, 8, flat_ts_list(4, 2));
+  std::atomic<int> ran{0};
+  std::atomic<bool> off_caller{false};
+  const std::thread::id caller = std::this_thread::get_id();
+  auto run = exec_fn(j.f);
+  pool.submit(j.graph, 8, [&](std::int32_t idx, TileWorkspace& ws) {
+    if (std::this_thread::get_id() != caller) off_caller.store(true);
+    ++ran;
+    run(idx, ws);
+  });
+  // No worker thread exists, so nothing runs before shutdown().
+  EXPECT_EQ(ran.load(), 0);
+  EXPECT_GT(pool.ready_tasks(), 0);
+  const RunStats st = pool.shutdown();
+  EXPECT_EQ(ran.load(), j.graph->size());
+  EXPECT_FALSE(off_caller.load());
+  EXPECT_EQ(st.threads, 1);
+  ASSERT_EQ(st.tasks_per_thread.size(), 1u);
+  EXPECT_EQ(st.tasks_per_thread[0], j.graph->size());
+}
+
+TEST(DagPool, ReuseOffCountsOnlyQueuePops) {
+  DagPoolOptions opts;
+  opts.threads = 2;
+  opts.data_reuse = false;
+  DagPool pool(opts);
+  Rng rng(47);
+  Matrix a = random_gaussian(48, 24, rng);
+  Job j = make_job(a, 8, flat_ts_list(6, 3));
+  pool.submit(j.graph, 8, exec_fn(j.f));
+  const RunStats st = pool.shutdown();
+  EXPECT_EQ(st.total_tasks, j.graph->size());
+  EXPECT_EQ(st.reuse_hits, 0);
+  EXPECT_EQ(st.queue_pops, st.total_tasks);
+  EXPECT_EQ(st.reuse_hit_rate(), 0.0);
+}
+
+TEST(DagPool, UnobservedShutdownLeavesTimingEmpty) {
+  DagPoolOptions opts;
+  opts.threads = 2;
+  DagPool pool(opts);
+  Rng rng(53);
+  Matrix a = random_gaussian(32, 16, rng);
+  Job j = make_job(a, 8, flat_ts_list(4, 2));
+  pool.submit(j.graph, 8, exec_fn(j.f));
+  const RunStats st = pool.shutdown();
+  EXPECT_EQ(st.total_tasks, j.graph->size());
+  EXPECT_TRUE(st.busy_seconds_per_thread.empty());
+  EXPECT_TRUE(st.idle_seconds_per_thread.empty());
+  EXPECT_TRUE(st.terminal_wait_seconds_per_thread.empty());
+  for (double s : st.seconds_by_kernel) EXPECT_EQ(s, 0.0);
+}
+
+TEST(DagPool, TraceOriginShiftsSpanTimestamps) {
+  // Spans are stamped relative to trace_origin: an origin 100 s in the
+  // past puts every span of a short run past the 100 s mark.
+  obs::TraceRecorder trace;
+  DagPoolOptions opts;
+  opts.threads = 0;
+  opts.trace = &trace;
+  opts.trace_origin = monotonic_seconds() - 100.0;
+  DagPool pool(opts);
+  Rng rng(59);
+  Matrix a = random_gaussian(16, 16, rng);
+  Job j = make_job(a, 8, flat_ts_list(2, 2));
+  pool.submit(j.graph, 8, exec_fn(j.f));
+  const RunStats st = pool.shutdown();
+  const auto events = trace.sorted_events();
+  ASSERT_EQ(static_cast<long long>(events.size()), st.total_tasks);
+  for (const auto& e : events) {
+    EXPECT_GE(e.start, 100.0);
+    EXPECT_LT(e.start, 200.0);
+    EXPECT_EQ(e.lane, 0);
+  }
+}
+
+TEST(DagPool, InvalidOptionsAndSubmitsThrow) {
+  DagPoolOptions bad;
+  bad.threads = -1;
+  EXPECT_THROW(DagPool{bad}, Error);
+
+  DagPoolOptions opts;
+  opts.threads = 1;
+  DagPool pool(opts);
+  const auto noop = [](std::int32_t, TileWorkspace&) {};
+  EXPECT_THROW(pool.submit(nullptr, 1, noop), Error);
+  EXPECT_THROW(pool.submit(one_task_graph(), 0, noop), Error);
+  EXPECT_EQ(pool.stats().dags_submitted, 0);
+}
+
+TEST(DagPool, ExternalTaskOutsideGraphThrows) {
+  DagPoolOptions opts;
+  opts.threads = 1;
+  DagPool pool(opts);
+  const auto noop = [](std::int32_t, TileWorkspace&) {};
+  for (std::int32_t t : {-1, 1}) {
+    DagSubmitOptions sopts;
+    sopts.external_tasks = {t};
+    EXPECT_THROW(pool.submit(one_task_graph(), 1, noop, sopts), Error)
+        << "external task " << t;
+  }
+  EXPECT_EQ(pool.stats().dags_submitted, 0);
+  EXPECT_EQ(pool.active_dags(), 0);
+}
+
+TEST(DagPool, AllExternalDagFinishesAtSubmit) {
+  // Nothing of the graph runs in the pool: the DAG completes inside
+  // submit(), and its on_done fires there, on the submitting thread.
+  DagPoolOptions opts;
+  opts.threads = 1;
+  DagPool pool(opts);
+  DagSubmitOptions sopts;
+  sopts.external_tasks = {0};
+  bool done = false, cancelled = true;
+  sopts.on_done = [&](DagId, bool c) {
+    done = true;
+    cancelled = c;
+  };
+  const DagId id = pool.submit(
+      one_task_graph(), 1,
+      [](std::int32_t, TileWorkspace&) { throw Error("must not run"); },
+      sopts);
+  EXPECT_TRUE(done);
+  EXPECT_FALSE(cancelled);
+  EXPECT_TRUE(pool.wait(id));
+  EXPECT_EQ(pool.active_dags(), 0);
+  EXPECT_EQ(pool.stats().tasks_executed, 0);
+  EXPECT_EQ(pool.stats().dags_completed, 1);
+}
+
+TEST(DagPool, PortCancelEndsGatedDag) {
+  // The port's cancel() is the distributed runtime's abort path: it ends a
+  // DAG whose external root never completes, exactly like DagPool::cancel.
+  DagPoolOptions opts;
+  opts.threads = 2;
+  DagPool pool(opts);
+  Rng rng(61);
+  Matrix a = random_gaussian(24, 8, rng);
+  Job j = make_job(a, 8, flat_ts_list(3, 1));
+  DagSubmitOptions sopts;
+  sopts.external_tasks = {0};
+  std::atomic<bool> done_cancelled{false};
+  sopts.on_done = [&](DagId, bool c) { done_cancelled.store(c); };
+  const DagId id = pool.submit(j.graph, 8, exec_fn(j.f), sopts);
+  auto port = pool.port(id);
+  std::thread canceller([&port] { port->cancel(); });
+  EXPECT_FALSE(pool.wait(id));
+  canceller.join();
+  EXPECT_TRUE(done_cancelled.load());
+  EXPECT_EQ(pool.stats().dags_cancelled, 1);
+  EXPECT_EQ(pool.stats().tasks_executed, 0);
+  // A completion arriving after the cancel is ignored.
+  port->remote_complete(0);
+  EXPECT_EQ(pool.stats().tasks_executed, 0);
+}
+
+TEST(DagPool, RemoteCompletionOutsideGraphThrows) {
+  DagPoolOptions opts;
+  opts.threads = 1;
+  DagPool pool(opts);
+  Rng rng(67);
+  Matrix a = random_gaussian(16, 8, rng);
+  Job j = make_job(a, 8, flat_ts_list(2, 1));
+  DagSubmitOptions sopts;
+  sopts.external_tasks = {0};
+  const DagId id = pool.submit(j.graph, 8, exec_fn(j.f), sopts);
+  auto port = pool.port(id);
+  EXPECT_THROW(port->remote_complete(-1), Error);
+  EXPECT_THROW(port->remote_complete(j.graph->size()), Error);
+  // The bad reports released nothing; the real one still drives the DAG.
+  EXPECT_EQ(pool.active_dags(), 1);
+  TileWorkspace ws(8);
+  execute_kernel(j.f->kernels()[0], *j.f, ws);
+  port->remote_complete(0);
+  EXPECT_TRUE(pool.wait(id));
+  QRFactors seq = qr_factorize_sequential(a, 8, flat_ts_list(2, 1));
+  EXPECT_EQ(max_abs_diff(extract_r(seq).view(), extract_r(*j.f).view()), 0.0);
+}
+
+TEST(DagPool, LateReportsToFinishedDagAreIgnored) {
+  DagPoolOptions opts;
+  opts.threads = 2;
+  DagPool pool(opts);
+  Rng rng(71);
+  Matrix a = random_gaussian(24, 16, rng);
+  Job j = make_job(a, 8, flat_ts_list(3, 2));
+  const DagId id = pool.submit(j.graph, 8, exec_fn(j.f));
+  EXPECT_TRUE(pool.wait(id));
+  const long long executed = pool.stats().tasks_executed;
+  auto port = pool.port(id);
+  port->remote_complete(0);
+  port->cancel();
+  EXPECT_FALSE(pool.cancel(id));
+  EXPECT_TRUE(pool.wait(id));  // the outcome record is unchanged
+  EXPECT_EQ(pool.stats().tasks_executed, executed);
+  EXPECT_EQ(pool.stats().dags_completed, 1);
+  EXPECT_EQ(pool.stats().dags_cancelled, 0);
 }
 
 }  // namespace

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <map>
+#include <ostream>
 #include <string>
 #include <tuple>
 
@@ -76,6 +78,10 @@ EliminationList greedy_fibonacci_list(int mt, int nt) {
       mt, nt, HqrConfig{3, 2, TreeKind::Greedy, TreeKind::Fibonacci, true});
 }
 
+// Tests are named after the case: ctest takes the printed value as the
+// name suffix, and the default byte dump would include pointers.
+void PrintTo(const IdentityCase& c, std::ostream* os) { *os << c.name; }
+
 class ExecutorIdentity : public ::testing::TestWithParam<IdentityCase> {};
 
 TEST_P(ExecutorIdentity, BitIdenticalToSequential) {
@@ -109,13 +115,14 @@ INSTANTIATE_TEST_SUITE_P(
                      greedy_fibonacci_list},
         IdentityCase{"PriorityOff1Worker", 48, 28, 4, 1, false, 1,
                      greedy_fibonacci_list},
+        IdentityCase{"PriorityOn2Workers", 48, 28, 4, 2, true, 1,
+                     greedy_fibonacci_list},
+        IdentityCase{"PriorityOff2Workers", 48, 28, 4, 2, false, 1,
+                     greedy_fibonacci_list},
         IdentityCase{"PriorityOn8Workers", 48, 28, 4, 8, true, 1,
                      greedy_fibonacci_list},
         IdentityCase{"PriorityOff8Workers", 48, 28, 4, 8, false, 1,
-                     greedy_fibonacci_list}),
-    [](const ::testing::TestParamInfo<IdentityCase>& info) {
-      return std::string(info.param.name);
-    });
+                     greedy_fibonacci_list}));
 
 TEST(Executor, MatchesSequentialResultBitwiseSingleThread) {
   // One worker with priority ordering executes a deterministic schedule;
@@ -210,6 +217,65 @@ TEST(Executor, StatsTraceAndMetricsAgreeOnTaskCounts) {
     }
     cursor[e.lane] = e.end;
   }
+}
+
+TEST(Executor, ObservedRunCountsEveryKernelOfTheGraph) {
+  // Per-kernel counts mirror the graph's kernel mix, and every kernel type
+  // that ran has its own seconds and histogram; absent types stay at zero.
+  Rng rng(37);
+  Matrix a0 = random_gaussian(40, 24, rng);
+  const auto list = greedy_global_list(10, 6).list;
+  const KernelList kernels = expand_to_kernels(list, 10, 6);
+  std::array<long long, kKernelTypeCount> expected{};
+  for (const KernelOp& op : kernels)
+    ++expected[static_cast<std::size_t>(kernel_type_index(op.type))];
+  ExecutorOptions opts{3, true, true};
+  obs::MetricsRegistry metrics;
+  opts.metrics = &metrics;
+  RunStats stats;
+  QRFactors f = qr_factorize_parallel(a0, 4, list, opts, &stats);
+  expect_exact(a0, f);
+  EXPECT_EQ(stats.total_tasks, static_cast<long long>(kernels.size()));
+  for (int k = 0; k < kKernelTypeCount; ++k) {
+    const auto ki = static_cast<std::size_t>(k);
+    const std::string name = kernel_name(static_cast<KernelType>(k));
+    EXPECT_EQ(stats.tasks_by_kernel[ki], expected[ki]) << name;
+    EXPECT_EQ(metrics.histogram("exec.task_seconds." + name).count(),
+              expected[ki])
+        << name;
+    if (expected[ki] == 0) {
+      EXPECT_EQ(stats.seconds_by_kernel[ki], 0.0) << name;
+    }
+  }
+}
+
+TEST(Executor, MetricsOnlyRunFillsTimingBreakdowns) {
+  // A metrics sink alone makes the run observed: per-lane busy, idle and
+  // terminal-wait seconds are filled and published per worker lane.
+  Rng rng(41);
+  Matrix a0 = random_gaussian(48, 24, rng);
+  ExecutorOptions opts{3, true, true};
+  obs::MetricsRegistry metrics;
+  opts.metrics = &metrics;
+  RunStats stats;
+  qr_factorize_parallel(a0, 4, greedy_global_list(12, 6).list, opts, &stats);
+  ASSERT_EQ(stats.busy_seconds_per_thread.size(), 3u);
+  ASSERT_EQ(stats.idle_seconds_per_thread.size(), 3u);
+  ASSERT_EQ(stats.terminal_wait_seconds_per_thread.size(), 3u);
+  double busy = 0.0;
+  for (std::size_t t = 0; t < 3; ++t) {
+    busy += stats.busy_seconds_per_thread[t];
+    const std::string lane = "exec.worker." + std::to_string(t);
+    EXPECT_EQ(metrics.gauge(lane + ".busy_seconds").value(),
+              stats.busy_seconds_per_thread[t]);
+    EXPECT_EQ(metrics.gauge(lane + ".terminal_wait_seconds").value(),
+              stats.terminal_wait_seconds_per_thread[t]);
+  }
+  double by_kernel = 0.0;
+  for (double s : stats.seconds_by_kernel) by_kernel += s;
+  EXPECT_NEAR(busy, by_kernel, 1e-9);
+  EXPECT_GT(busy, 0.0);
+  EXPECT_EQ(metrics.counter("exec.tasks").value(), stats.total_tasks);
 }
 
 TEST(Executor, UnobservedRunSkipsTimingBreakdowns) {

@@ -58,6 +58,32 @@ TEST_P(ParallelQ, ApplyQMatchesSequentialBitwise) {
 
 INSTANTIATE_TEST_SUITE_P(Threads, ParallelQ, ::testing::Values(1, 2, 4, 8));
 
+TEST(ParallelQ, StatsCountEveryApplyTask) {
+  // Q formation and application run one apply graph each on the pool; the
+  // stats account for every op of that graph, on every lane.
+  Rng rng(35);
+  Matrix a0 = random_gaussian(36, 20, rng);
+  QRFactors f = make_factors(a0, 4);
+  ExecutorOptions opts{3, true, true};
+  RunStats stats;
+  const Matrix q = build_q_parallel(f, opts, &stats);
+  const int q_nt = (q.cols() + f.b() - 1) / f.b();
+  EXPECT_EQ(stats.total_tasks,
+            static_cast<long long>(
+                q_apply_ops(f, Trans::No, q_nt, /*economy=*/true).size()));
+  EXPECT_EQ(stats.threads, 3);
+  EXPECT_EQ(stats.reuse_hits + stats.queue_pops, stats.total_tasks);
+
+  TiledMatrix c = TiledMatrix::from_matrix(random_gaussian(36, 7, rng), 4);
+  apply_q_parallel(f, Trans::Yes, c, opts, &stats);
+  EXPECT_EQ(stats.total_tasks,
+            static_cast<long long>(q_apply_ops(f, Trans::Yes, c.nt()).size()));
+  EXPECT_EQ(stats.reuse_hits + stats.queue_pops, stats.total_tasks);
+  long long per_thread = 0;
+  for (long long t : stats.tasks_per_thread) per_thread += t;
+  EXPECT_EQ(per_thread, stats.total_tasks);
+}
+
 TEST(ParallelQ, RoundTripThroughRuntime) {
   Rng rng(41);
   Matrix a0 = random_gaussian(24, 24, rng);

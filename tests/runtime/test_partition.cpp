@@ -6,7 +6,9 @@
 // with the wire replaced by shared memory.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -73,19 +75,18 @@ TEST(Partition, WholeGraphLocalMatchesSequential) {
   EXPECT_TRUE(same_matrix(f.a(), ref.a()));
 }
 
-// Two engines over one shared QRFactors, cross-wired through RemotePort:
-// each on_complete releases the peer's successors, exactly like the
-// distributed runtime's receive path (shared memory stands in for the
-// payload transfer).
-TEST(Partition, TwoCrossWiredEnginesCoverTheGraph) {
-  const Distribution dist = Distribution::block_cyclic_2d(2, 1);
-  Problem p = make_problem(192, 128, 32, dist);
-  QRFactors f(TiledMatrix::from_matrix(p.a, p.b), p.kernels, 0);
+// Runs two engines over one shared QRFactors, cross-wired through
+// RemotePort: each on_complete releases the peer's successors, exactly like
+// the distributed runtime's receive path (shared memory stands in for the
+// payload transfer). Rank 1 runs on a second thread, so its completions
+// reach rank 0's pool from outside it, and vice versa.
+std::array<RunStats, 2> run_cross_wired(const Problem& p, QRFactors& f,
+                                        const std::array<ExecutorOptions, 2>&
+                                            opts) {
   const std::vector<std::int32_t>& rank = p.plan.node();
-
   std::atomic<RemotePort*> port[2] = {nullptr, nullptr};
   std::atomic<bool> done[2] = {false, false};
-  RunStats stats[2];
+  std::array<RunStats, 2> stats;
 
   auto run_rank = [&](int me) {
     const int peer = 1 - me;
@@ -100,10 +101,8 @@ TEST(Partition, TwoCrossWiredEnginesCoverTheGraph) {
       while ((pp = port[peer].load()) == nullptr) std::this_thread::yield();
       pp->remote_complete(t);
     };
-    ExecutorOptions opts;
-    opts.threads = 2;
-    stats[me] = execute_partition(
-        f, p.graph, opts, view,
+    stats[static_cast<std::size_t>(me)] = execute_partition(
+        f, p.graph, opts[static_cast<std::size_t>(me)], view,
         [&](RemotePort& pt) { port[me].store(&pt); },
         [&] {
           // Keep the port alive until the peer can no longer call into it.
@@ -115,6 +114,14 @@ TEST(Partition, TwoCrossWiredEnginesCoverTheGraph) {
   std::thread t1([&] { run_rank(1); });
   run_rank(0);
   t1.join();
+  return stats;
+}
+
+void expect_cross_wired_exact(const std::array<ExecutorOptions, 2>& opts) {
+  const Distribution dist = Distribution::block_cyclic_2d(2, 1);
+  Problem p = make_problem(192, 128, 32, dist);
+  QRFactors f(TiledMatrix::from_matrix(p.a, p.b), p.kernels, 0);
+  const std::array<RunStats, 2> stats = run_cross_wired(p, f, opts);
 
   EXPECT_EQ(stats[0].total_tasks, p.plan.tasks_on(0));
   EXPECT_EQ(stats[1].total_tasks, p.plan.tasks_on(1));
@@ -127,6 +134,87 @@ TEST(Partition, TwoCrossWiredEnginesCoverTheGraph) {
                                      TreeKind::Fibonacci, true}),
       0);
   EXPECT_TRUE(same_matrix(f.a(), ref.a()));
+}
+
+TEST(Partition, TwoCrossWiredEnginesCoverTheGraph) {
+  ExecutorOptions opts;
+  opts.threads = 2;
+  expect_cross_wired_exact({opts, opts});
+}
+
+// One lane per rank: the pool has no worker threads, so the engine's only
+// lane (the caller) must sleep until the peer's completions wake it.
+TEST(Partition, SingleLaneEnginesWaitOnRemoteCompletions) {
+  ExecutorOptions opts;
+  opts.threads = 1;
+  ExecutorOptions fifo = opts;
+  fifo.priority_scheduling = false;
+  fifo.data_reuse = false;
+  expect_cross_wired_exact({opts, fifo});
+}
+
+// A traced slice records one span per local task and nothing for the
+// tasks the other rank ran.
+TEST(Partition, TracedEnginesRecordOnlyTheirOwnSlice) {
+  const Distribution dist = Distribution::cyclic_1d(2);
+  Problem p = make_problem(128, 96, 32, dist);
+  QRFactors f(TiledMatrix::from_matrix(p.a, p.b), p.kernels, 0);
+  obs::TraceRecorder trace[2];
+  std::array<ExecutorOptions, 2> opts;
+  for (int r = 0; r < 2; ++r) {
+    opts[static_cast<std::size_t>(r)].threads = 2;
+    opts[static_cast<std::size_t>(r)].trace = &trace[r];
+  }
+  const std::array<RunStats, 2> stats = run_cross_wired(p, f, opts);
+  for (int r = 0; r < 2; ++r) {
+    EXPECT_EQ(stats[static_cast<std::size_t>(r)].total_tasks,
+              p.plan.tasks_on(r));
+    EXPECT_EQ(static_cast<long long>(trace[r].size()), p.plan.tasks_on(r));
+    for (const auto& e : trace[r].sorted_events())
+      EXPECT_EQ(p.plan.node()[static_cast<std::size_t>(e.task)], r)
+          << "rank " << r << " traced task " << e.task;
+  }
+}
+
+// An exception from on_complete cancels the slice and is rethrown by
+// execute_partition once the pool is down.
+TEST(Partition, OnCompleteExceptionIsRethrown) {
+  Problem p = make_problem(128, 96, 32, Distribution::cyclic_1d(1));
+  QRFactors f(TiledMatrix::from_matrix(p.a, p.b), p.kernels, 0);
+  PartitionView view;
+  view.task_rank = &p.plan.node();
+  view.my_rank = 0;
+  std::atomic<int> completed{0};
+  view.on_complete = [&](std::int32_t) {
+    if (completed.fetch_add(1) == 0) throw Error("packing failed");
+  };
+  ExecutorOptions opts;
+  opts.threads = 2;
+  std::string what;
+  try {
+    execute_partition(f, p.graph, opts, view, [](RemotePort&) {});
+  } catch (const Error& e) {
+    what = e.what();
+  }
+  EXPECT_NE(what.find("packing failed"), std::string::npos) << what;
+  // The cancel stopped the slice long before its end.
+  EXPECT_LT(completed.load(), p.graph.size());
+}
+
+TEST(Partition, TaskRankMustCoverTheGraph) {
+  Problem p = make_problem(128, 64, 32, Distribution::cyclic_1d(2));
+  QRFactors f(TiledMatrix::from_matrix(p.a, p.b), p.kernels, 0);
+  const std::vector<std::int32_t> short_rank(
+      static_cast<std::size_t>(p.graph.size() - 1), 0);
+  PartitionView view;
+  view.task_rank = &short_rank;
+  ExecutorOptions opts;
+  opts.threads = 2;
+  EXPECT_THROW(execute_partition(f, p.graph, opts, view, [](RemotePort&) {}),
+               Error);
+  view.task_rank = nullptr;
+  EXPECT_THROW(execute_partition(f, p.graph, opts, view, [](RemotePort&) {}),
+               Error);
 }
 
 // cancel() unblocks an engine whose remote predecessors never arrive.
