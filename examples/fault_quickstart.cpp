@@ -35,9 +35,10 @@
 #include "common/table.hpp"
 #include "dag/partition.hpp"
 #include "distrun/dist_exec.hpp"
-#include "fault/ft_launcher.hpp"
+#include "fault/plan.hpp"
 #include "linalg/norms.hpp"
 #include "linalg/random_matrix.hpp"
+#include "net/launcher.hpp"
 #include "obs/trace.hpp"
 #include "simcluster/simulator.hpp"
 #include "trees/hqr_tree.hpp"
@@ -142,8 +143,7 @@ int main(int argc, char** argv) {
   const std::string fragment =
       "fault_quickstart_" + cli.str("transport") + ".tmp";
 
-  const auto rank_main = [&](net::Comm& comm,
-                             const fault::FtRankContext& ctx) -> int {
+  const auto rank_main = [&](net::Comm& comm) -> int {
     Rng rng(static_cast<std::uint64_t>(cli.integer("seed")));
     Matrix a = random_gaussian(m, n, rng);
     const TiledMatrix probe = TiledMatrix::from_matrix(a, b);
@@ -164,11 +164,7 @@ int main(int argc, char** argv) {
     opts.broadcast = bcast;
     opts.progress_timeout_seconds = timeout;
     if (!trace_prefix.empty()) opts.trace = &trace;
-    opts.fault.faults = ctx.faults;
-    opts.fault.recovery = true;
-    opts.fault.is_replacement = ctx.is_replacement;
-    opts.fault.incarnation = ctx.incarnation;
-    opts.fault.control_fd = ctx.control_fd;
+    opts.fault.plan = fplan;
     opts.fault.on_failure = [&](const fault::RankFailure& f) {
       std::fprintf(stderr, "[rank %d] observed: %s\n", comm.rank(),
                    f.describe().c_str());
@@ -220,18 +216,19 @@ int main(int argc, char** argv) {
     return identical && orth < 1e-12 && resid < 1e-12 ? 0 : 1;
   };
 
-  fault::FtLaunchOptions lopts;
-  lopts.launch.timeout_seconds = timeout > 0 ? timeout * 2 : 0;
-  lopts.launch.transport.kind = cli.str("transport");
-  lopts.plan = fplan;
-  const fault::FtLaunchReport report = run_ranks_ft(ranks, rank_main, lopts);
+  net::LaunchOptions lopts;
+  lopts.timeout_seconds = timeout > 0 ? timeout * 2 : 0;
+  lopts.transport.kind = cli.str("transport");
+  lopts.max_recoveries = 3;
+  const net::LaunchReport report =
+      net::run_ranks_report(ranks, rank_main, lopts);
   for (const fault::RankFailure& f : report.failures)
     std::cout << "launcher observed: " << f.describe() << "\n";
   std::cout << "replacements forked: " << report.replacements_forked
             << ", links re-wired: " << report.links_rewired << "\n";
   if (!report.ok()) {
     std::cerr << "FAILURE: recovered run did not verify (rank "
-              << report.launch.failed_rank << ")\n";
+              << report.failed_rank << ")\n";
     return 1;
   }
   if (!trace_prefix.empty()) {

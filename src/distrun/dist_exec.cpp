@@ -98,8 +98,24 @@ QRFactors dist_qr_factorize(net::Comm& comm, const Matrix& a, int b,
   };
 
   // --- Fault injection and recovery state (inert on fault-free runs) ---
-  const bool ft = opts.fault.recovery;
-  const bool chaos = !opts.fault.faults.empty();
+  // Recovery is on exactly when the launcher handed this rank a control
+  // channel (LaunchOptions::max_recoveries > 0). Every rank checks the
+  // whole plan, so a bad spec fails alike everywhere; only an original
+  // process arms its own actions — a fault fires once per plan, not once
+  // per incarnation.
+  const bool ft = comm.has_control();
+  const bool replacement = comm.incarnation() > 0;
+  for (const fault::FaultAction& a : opts.fault.plan.actions) {
+    HQR_CHECK(a.rank >= 0 && a.rank < nranks,
+              "fault plan targets rank " << a.rank << " of " << nranks);
+    HQR_CHECK(a.kind == fault::FaultKind::KillRank ||
+                  (a.peer >= 0 && a.peer < nranks && a.peer != a.rank),
+              "fault plan link peer " << a.peer << " invalid");
+  }
+  const std::vector<fault::FaultAction> faults =
+      replacement ? std::vector<fault::FaultAction>{}
+                  : opts.fault.plan.actions_for(me);
+  const bool chaos = !faults.empty();
   fault::SentTileLog sent_log(nranks, opts.fault.sent_log_max_bytes);
   std::atomic<long long> fault_activity{0};  // feeds the progress watchdog
   std::atomic<long long> frames_replayed{0};
@@ -169,7 +185,7 @@ QRFactors dist_qr_factorize(net::Comm& comm, const Matrix& a, int b,
       if (me == 0 && bye_posted.load(std::memory_order_acquire))
         comm.post(q, net::Tag::Bye, 0, nullptr, 0);
     };
-    comm.enable_fault_tolerance(opts.fault.control_fd, std::move(hooks));
+    comm.enable_fault_tolerance(std::move(hooks));
   }
 
   // Clock alignment runs before any Data traffic. A fast peer can finish
@@ -185,7 +201,7 @@ QRFactors dist_qr_factorize(net::Comm& comm, const Matrix& a, int b,
   // A replacement rank joins mid-run: the survivors are deep in execution
   // and will not answer sync pings, so it adopts offset zero (exact for
   // forked single-host ranks, which is the only place recovery runs).
-  if (nranks > 1 && opts.clock_sync_rounds > 0 && !opts.fault.is_replacement)
+  if (nranks > 1 && opts.clock_sync_rounds > 0 && !replacement)
     csync = net::sync_clocks(comm, &held, opts.clock_sync_rounds,
                              shutdown_timeout);
 
@@ -201,7 +217,7 @@ QRFactors dist_qr_factorize(net::Comm& comm, const Matrix& a, int b,
 
   // Fires chaos actions armed at the k-th local completion (1-based).
   const auto inject_at = [&](long long k) {
-    for (const fault::FaultAction& a : opts.fault.faults) {
+    for (const fault::FaultAction& a : faults) {
       if (a.at_task != k) continue;
       switch (a.kind) {
         case fault::FaultKind::KillRank:
@@ -347,7 +363,7 @@ QRFactors dist_qr_factorize(net::Comm& comm, const Matrix& a, int b,
     // unfinished local task's own inputs all clear this gate.
     std::size_t frontier = 0;  // my_tasks[0..frontier) have all completed
     const auto locally_ready = [&](std::int32_t id) {
-      if (!opts.fault.is_replacement) return true;
+      if (!replacement) return true;
       while (frontier < my_tasks.size() &&
              local_done[static_cast<std::size_t>(my_tasks[frontier])].load(
                  std::memory_order_acquire))
@@ -370,7 +386,7 @@ QRFactors dist_qr_factorize(net::Comm& comm, const Matrix& a, int b,
       std::fprintf(stderr,
                    "[rank %d%s] %s: %zu/%zu local tasks done, lowest "
                    "incomplete local task %d, %zu deferred frame(s):%s\n",
-                   me, opts.fault.is_replacement ? "*" : "", why, fdone,
+                   me, replacement ? "*" : "", why, fdone,
                    my_tasks.size(),
                    fdone < my_tasks.size() ? my_tasks[fdone] : -1,
                    deferred.size(), ids.c_str());
@@ -563,7 +579,7 @@ QRFactors dist_qr_factorize(net::Comm& comm, const Matrix& a, int b,
   // Rank-local fault observability, appended to the POD stats frame.
   const auto fill_fault_stats = [&](DistRankStats& s) {
     const net::CommCounters c = comm.counters_snapshot();
-    s.incarnation = opts.fault.incarnation;
+    s.incarnation = comm.incarnation();
     s.faults_injected = faults_injected.load(std::memory_order_relaxed);
     s.peers_down = c.peers_down;
     s.peers_replaced = c.peers_replaced;
@@ -735,7 +751,7 @@ QRFactors dist_qr_factorize(net::Comm& comm, const Matrix& a, int b,
           .add(bytes_replayed.load(std::memory_order_relaxed));
       m.gauge("fault.sent_log_bytes").set(static_cast<double>(
           sent_log.bytes()));
-      m.gauge("fault.incarnation").set(opts.fault.incarnation);
+      m.gauge("fault.incarnation").set(comm.incarnation());
     }
   }
   if (stats) *stats = std::move(out);

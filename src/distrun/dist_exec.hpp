@@ -56,26 +56,21 @@ struct DistTelemetry {
 };
 
 // Fault injection + recovery wiring for one rank (DistOptions::fault).
-// With `recovery` set the rank keeps a SentTileLog of every Data frame it
-// ships, survives peer death (typed events instead of fatal errors), and
-// replays the log when the launcher re-wires a link — the survivor half of
-// the owner-computes recovery protocol (DESIGN.md §14). The fields mirror
-// fault::FtRankContext; dist_quickstart-style callers copy them across.
+// Recovery is on exactly when the Comm carries a launcher control channel
+// (net::LaunchOptions::max_recoveries > 0): the rank then keeps a
+// SentTileLog of every Data frame it ships, survives peer death (typed
+// events instead of fatal errors), and replays the log when the launcher
+// re-wires a link — the survivor half of the owner-computes recovery
+// protocol (DESIGN.md §14). A replacement (Comm::incarnation() > 0) skips
+// the clock-sync handshake (the survivors are mid-run and will not answer)
+// and arms no injections; it re-executes its whole partition and the
+// survivors deduplicate the re-posted outputs.
 struct DistFaultConfig {
-  // Injections this rank arms (fault::FaultPlan::actions_for(rank)); each
-  // fires at its 1-based local-completion trigger.
-  std::vector<fault::FaultAction> faults;
-  // Survive peer death and replay on re-wire. Off (default) keeps the
-  // historical behavior: any peer failure is fatal.
-  bool recovery = false;
-  // This process replaces a dead rank: skip the clock-sync handshake (the
-  // survivors are mid-run and will not answer) and re-execute the whole
-  // partition. Survivors deduplicate the re-posted outputs.
-  bool is_replacement = false;
-  int incarnation = 0;  // 0 = original process
-  // The launcher control channel (fault/ft_launcher.hpp); -1 = detection
-  // without re-wiring.
-  int control_fd = -1;
+  // The deterministic injection schedule, the same on every rank. Every
+  // rank validates it against the communicator; an original rank arms
+  // plan.actions_for(rank), each action firing at its 1-based
+  // local-completion trigger.
+  fault::FaultPlan plan;
   // SentTileLog byte cap; past it the log stops recording and a later
   // replay attempt fails typed instead of replaying a partial history.
   long long sent_log_max_bytes = 256ll << 20;

@@ -11,8 +11,11 @@
 
 namespace hqr::net {
 
-Comm::Comm(int rank, std::vector<Fd> peers)
-    : rank_(rank), peers_(std::move(peers)) {
+Comm::Comm(int rank, std::vector<Fd> peers, Fd control, int incarnation)
+    : rank_(rank),
+      peers_(std::move(peers)),
+      control_(std::move(control)),
+      incarnation_(incarnation) {
   HQR_CHECK(rank_ >= 0 && rank_ < static_cast<int>(peers_.size()),
             "rank " << rank_ << " outside communicator of size "
                     << peers_.size());
@@ -29,11 +32,10 @@ Comm::Comm(int rank, std::vector<Fd> peers)
   paused_until_.assign(peers_.size(), 0.0);
 }
 
-void Comm::enable_fault_tolerance(int control_fd, CommFaultHooks hooks) {
+void Comm::enable_fault_tolerance(CommFaultHooks hooks) {
   fault_mode_ = true;
-  control_fd_ = control_fd;
   hooks_ = std::move(hooks);
-  if (control_fd_ >= 0) set_nonblocking(control_fd_);
+  if (control_.valid()) set_nonblocking(control_.get());
 }
 
 bool Comm::peer_down(int q) const {
@@ -293,7 +295,7 @@ bool Comm::drain_peer(int q, std::vector<Message>& out) {
 void Comm::handle_control(std::vector<int>& replaced) {
   for (;;) {
     pollfd p{};
-    p.fd = control_fd_;
+    p.fd = control_.get();
     p.events = POLLIN;
     const int rc = ::poll(&p, 1, 0);
     if (rc <= 0 || !(p.revents & (POLLIN | POLLHUP))) return;
@@ -301,13 +303,14 @@ void Comm::handle_control(std::vector<int>& replaced) {
     Fd passed;
     bool got = false;
     try {
-      got = recv_control(control_fd_, &m, &passed, monotonic_seconds() + 5.0);
+      got = recv_control(control_.get(), &m, &passed,
+                         monotonic_seconds() + 5.0);
     } catch (const std::exception&) {
       // ECONNRESET: the launcher's end closed with unread data (it tore
       // down after a failure elsewhere). Same meaning as the clean EOF.
     }
     if (!got) {
-      control_fd_ = -1;  // launcher gone; PDEATHSIG will reap us anyway
+      control_.reset();  // launcher gone; PDEATHSIG will reap us anyway
       return;
     }
     if (static_cast<ControlOp>(m.op) != ControlOp::ReplacePeer) continue;
@@ -364,9 +367,9 @@ int Comm::pump(int timeout_ms, const std::function<void(Message&&)>& on_msg) {
       who.push_back(q);
     }
   }
-  if (fault_mode_ && control_fd_ >= 0) {
+  if (fault_mode_ && control_.valid()) {
     pollfd p{};
-    p.fd = control_fd_;
+    p.fd = control_.get();
     p.events = POLLIN;
     fds.push_back(p);
     who.push_back(-1);  // sentinel: the control channel
@@ -403,12 +406,12 @@ int Comm::pump(int timeout_ms, const std::function<void(Message&&)>& on_msg) {
   for (const int q : replaced)
     if (hooks_.on_peer_replaced) hooks_.on_peer_replaced(q);
   for (const int q : went_down) {
-    if (control_fd_ >= 0) {
+    if (control_.valid()) {
       try {
-        send_control(control_fd_, ControlOp::LinkDown, q,
+        send_control(control_.get(), ControlOp::LinkDown, q,
                      down_epoch_[static_cast<std::size_t>(q)]);
       } catch (const std::exception&) {
-        control_fd_ = -1;  // launcher gone
+        control_.reset();  // launcher gone
       }
     }
     if (hooks_.on_peer_down) hooks_.on_peer_down(q);

@@ -66,11 +66,20 @@ struct CommFaultHooks {
 class Comm {
  public:
   // peers[q] owns the socket connected to rank q (peers[rank] is ignored);
-  // built by the launcher, or directly by in-process tests.
-  Comm(int rank, std::vector<Fd> peers);
+  // built by the launcher, or directly by in-process tests. The launcher
+  // also hands over the rank's launch context: its end of the control
+  // channel (net/control.hpp; only when recovery is on) and which
+  // incarnation of the rank this process is.
+  Comm(int rank, std::vector<Fd> peers, Fd control = Fd(),
+       int incarnation = 0);
 
   int rank() const { return rank_; }
   int size() const { return static_cast<int>(peers_.size()); }
+  // True while this rank holds an open control channel to a recovering
+  // launcher (net/launcher.hpp, LaunchOptions::max_recoveries > 0).
+  bool has_control() const { return control_.valid(); }
+  // 0 for the original process of this rank, k for its k-th replacement.
+  int incarnation() const { return incarnation_; }
 
   // Enqueues one framed message to `dest` and returns immediately (eager
   // send); the next pump() flushes it. Thread-safe.
@@ -93,13 +102,13 @@ class Comm {
 
   // Switches peer death from fatal (HQR_CHECK throw) to survivable: a dead
   // peer is marked down, its queued frames are discarded (tallied in
-  // frames_dropped_peer_down), a LinkDown report goes to `control_fd` (the
-  // launcher's channel; -1 = detection only, no re-wiring), and
-  // hooks.on_peer_down fires. pump() additionally polls control_fd for
-  // ReplacePeer messages and installs the passed descriptor. Call before
-  // the first pump(); the default (off) behavior is bit-identical to
-  // pre-fault builds.
-  void enable_fault_tolerance(int control_fd, CommFaultHooks hooks);
+  // frames_dropped_peer_down), a LinkDown report goes to the control
+  // channel (none = detection only, no re-wiring), and hooks.on_peer_down
+  // fires. pump() additionally polls the control channel for ReplacePeer
+  // messages and installs the passed descriptor. Call before the first
+  // pump(); the default (off) behavior is bit-identical to pre-fault
+  // builds.
+  void enable_fault_tolerance(CommFaultHooks hooks);
 
   // True while frames to q are being dropped (between peer death and the
   // launcher's re-wire). Thread-safe.
@@ -169,7 +178,8 @@ class Comm {
   CommCounters counters_;
   // Fault-tolerant mode (all guarded by send_mu_ where shared).
   bool fault_mode_ = false;
-  int control_fd_ = -1;
+  Fd control_;
+  int incarnation_ = 0;
   CommFaultHooks hooks_;
   std::vector<char> down_;
   std::vector<int> down_epoch_;  // epoch_[q] at the instant q went down

@@ -1,7 +1,8 @@
-// Parent<->rank control channel of the fault-tolerant launcher
-// (fault/ft_launcher.hpp): a private AF_UNIX socketpair per rank, separate
-// from the rank mesh, carrying tiny fixed-size messages and — for link
-// re-wiring — file descriptors as SCM_RIGHTS ancillary data.
+// Parent<->rank control channel of the rank launcher when recovery is on
+// (net/launcher.hpp, LaunchOptions::max_recoveries > 0): a private AF_UNIX
+// socketpair per rank, owned by the rank's Comm and separate from the rank
+// mesh, carrying tiny fixed-size messages and — for link re-wiring — file
+// descriptors as SCM_RIGHTS ancillary data.
 //
 //   ReplacePeer  parent -> rank: "your link to `peer` has been re-wired";
 //                the new socket rides along as a passed descriptor. The

@@ -6,17 +6,40 @@
 // pair in the parent *before* any fork, so every child inherits all
 // descriptors and keeps only its own row; the `tcp` backend hands children
 // a rendezvous port and they wire the mesh themselves after fork. Either
-// way the parent closes everything and watches the children: the first
-// nonzero exit, killing signal, or deadline overrun makes it terminate the
-// whole group and report failure — a crashed or wedged rank can never hang
-// the caller (or CI).
+// way the parent closes everything and watches the children. By default
+// the first nonzero exit, killing signal, or deadline overrun makes it
+// terminate the whole group and report failure — a crashed or wedged rank
+// can never hang the caller (or CI).
+//
+// Recovery (LaunchOptions::max_recoveries > 0). Next to the mesh, every
+// rank gets a private AF_UNIX socketpair to the launcher (the control
+// channel of net/control.hpp), owned by its Comm. Ranks report dead links
+// upward (LinkDown); the launcher pushes repaired links downward
+// (ReplacePeer + a passed descriptor). Because replacement ranks receive
+// their entire mesh as passed descriptors, recovery is transport-blind: it
+// works identically under `unix` and `tcp`.
+//
+// Recovery of a rank r killed by a signal (r != 0; the collector's death
+// is final, and so is any nonzero exit — the rank itself concluded the run
+// failed):
+//   1. The supervisor reaps r, records a typed RankFailure, and creates a
+//      fresh socketpair per survivor plus a fresh control channel.
+//   2. Survivors get ReplacePeer{peer=r} with their end of the new link;
+//      their Comm installs it and the distributed runtime replays its
+//      SentTileLog into it.
+//   3. A replacement process is forked whose Comm reports incarnation()
+//      > 0; it rebuilds the deterministic plan, re-executes r's entire
+//      partition, and re-posts its outputs (survivors deduplicate).
+// A LinkDown for a live peer (chaos DropLink) re-wires just that link: a
+// fresh pair, ReplacePeer to both endpoints. Epoch stamps deduplicate the
+// two reports a severed link produces and discard reports that predate a
+// re-wire already performed.
 #pragma once
 
 #include <functional>
 #include <vector>
 
-#include <sys/types.h>
-
+#include "fault/events.hpp"
 #include "net/comm.hpp"
 #include "net/transport.hpp"
 
@@ -32,6 +55,12 @@ struct LaunchOptions {
   double term_grace_seconds = 0.0;
   // How ranks reach each other; defaults to the AF_UNIX socketpair mesh.
   TransportOptions transport;
+  // Replacements the launcher may fork for ranks killed by a signal.
+  // > 0 also gives every rank a control channel (Comm::has_control), which
+  // is what turns the distributed runtime's recovery on. 0 = any death
+  // tears the group down. Deaths past the budget escalate to teardown: a
+  // rank that keeps dying is a real bug, not chaos.
+  int max_recoveries = 0;
 };
 
 // How one rank's process ended.
@@ -45,15 +74,17 @@ struct RankExit {
   bool ok() const { return exited && exit_code == 0 && !signaled; }
 };
 
-// What the supervision loop observed, rank by rank — the structured answer
-// to "which rank failed, and how" that the plain exit code of run_ranks
-// collapses away. The fault-tolerant launcher (fault/ft_launcher.hpp)
-// builds its failure events from the same observations.
+// What the supervision loop observed — the structured answer to "which
+// rank failed, and how" that the plain exit code of run_ranks collapses
+// away.
 struct LaunchReport {
-  int first_failure = 0;   // first failing rank's exit code (1 for signals)
+  int first_failure = 0;   // first fatal failure's exit code (1 for signals)
   int failed_rank = -1;    // rank of that first failure; -1 when none
   bool timed_out = false;  // the wall-clock budget expired
-  std::vector<RankExit> ranks;
+  std::vector<RankExit> ranks;  // final-incarnation exits, rank by rank
+  std::vector<fault::RankFailure> failures;  // every observed failure
+  int replacements_forked = 0;
+  int links_rewired = 0;  // DropLink repairs (rank recoveries not counted)
 
   bool ok() const { return first_failure == 0 && !timed_out; }
 };
@@ -61,8 +92,10 @@ struct LaunchReport {
 // Forks `nranks` children; each runs `rank_main` with its communicator and
 // exits with its return value (uncaught hqr exceptions — including a
 // transport that cannot wire the mesh in time — become exit code 1).
-// Must be called before the calling process spawns threads — fork() only
-// carries the calling thread into the child.
+// Replacements run the same `rank_main`. Must be called before the calling
+// process spawns threads — fork() only carries the calling thread into the
+// child. Every child still alive when this returns or throws is killed and
+// reaped first.
 LaunchReport run_ranks_report(int nranks,
                               const std::function<int(Comm&)>& rank_main,
                               const LaunchOptions& opts = {});
@@ -71,19 +104,5 @@ LaunchReport run_ranks_report(int nranks,
 // rank's exit code (or 1 for signals/timeouts).
 int run_ranks(int nranks, const std::function<int(Comm&)>& rank_main,
               const LaunchOptions& opts = {});
-
-namespace detail {
-
-// Tears down every pid still > 0 in `pids` and reaps it into `exits`
-// (marking killed_by_launcher). With grace_seconds > 0 the group gets
-// SIGTERM first, SIGKILL only for stragglers past the deadline. Shared by
-// the plain and fault-tolerant launchers.
-void kill_group(std::vector<pid_t>& pids, std::vector<RankExit>& exits,
-                double grace_seconds);
-
-// Classifies one waitpid status into a RankExit.
-void record_exit(RankExit& e, int status);
-
-}  // namespace detail
 
 }  // namespace hqr::net

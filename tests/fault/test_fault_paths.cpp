@@ -1,9 +1,12 @@
-// Pre-recovery failure paths: what the system does when fault tolerance
-// is OFF (or cannot help). A signal death mid-run must fail loudly with
-// the dead rank attributed in the LaunchReport; a wedged run must trip
-// the progress watchdog and surface a typed WatchdogTimeout; a SIGTERM
-// grace budget must let ranks exit cleanly during teardown; and killing
-// the collector rank must tear the group down even with recovery on.
+// Failure paths of the launcher and the distributed runtime: what happens
+// when fault tolerance is OFF (or cannot help). A signal death mid-run
+// must fail loudly with the dead rank attributed in the LaunchReport; a
+// wedged run must trip the progress watchdog and surface a typed
+// WatchdogTimeout; a SIGTERM grace budget must let ranks exit cleanly
+// during teardown; killing the collector rank must tear the group down
+// even with recovery on; a rank that keeps dying exhausts the recovery
+// budget; a nonzero exit is never recovered; and a replacement knows its
+// incarnation and arms no injections.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -16,7 +19,7 @@
 #include "common/rng.hpp"
 #include "core/factorization.hpp"
 #include "distrun/dist_exec.hpp"
-#include "fault/ft_launcher.hpp"
+#include "fault/plan.hpp"
 #include "linalg/random_matrix.hpp"
 #include "net/comm.hpp"
 #include "net/launcher.hpp"
@@ -100,8 +103,7 @@ TEST(FaultPaths, TermGraceLetsRanksExitCleanlyDuringTeardown) {
 }
 
 TEST(FaultPaths, WedgedRunTripsWatchdogWithTypedFailure) {
-  const auto rank_main = [](net::Comm& comm,
-                            const fault::FtRankContext& ctx) -> int {
+  const auto rank_main = [](net::Comm& comm) -> int {
     Rng rng(7);
     Matrix a = random_gaussian(256, 128, rng);
     int mt = 0, nt = 0;
@@ -109,7 +111,7 @@ TEST(FaultPaths, WedgedRunTripsWatchdogWithTypedFailure) {
     distrun::DistOptions opts;
     // Rank 1 wedges the run: every frame to rank 0 held for 60 s from its
     // first completion on. Rank 0's watchdog must fire long before that.
-    opts.fault.faults = ctx.faults;
+    opts.fault.plan = fault::FaultPlan::parse("delay:1-0@1+60");
     opts.progress_timeout_seconds = comm.rank() == 0 ? 1.0 : 30.0;
     std::atomic<bool> saw_watchdog{false};
     opts.fault.on_failure = [&](const fault::RankFailure& f) {
@@ -126,27 +128,22 @@ TEST(FaultPaths, WedgedRunTripsWatchdogWithTypedFailure) {
     }
     return comm.rank() == 0 ? 6 : 0;  // rank 0 completing means no wedge
   };
-  fault::FtLaunchOptions lopts;
-  lopts.launch.timeout_seconds = 120.0;
-  lopts.plan = fault::FaultPlan::parse("delay:1-0@1+60");
-  lopts.recovery = false;
-  const fault::FtLaunchReport report =
-      fault::run_ranks_ft(2, rank_main, lopts);
-  EXPECT_TRUE(report.ok()) << "failed rank " << report.launch.failed_rank
-                           << " exit " << report.launch.first_failure;
+  net::LaunchOptions lopts;
+  lopts.timeout_seconds = 120.0;
+  const net::LaunchReport report = net::run_ranks_report(2, rank_main, lopts);
+  EXPECT_TRUE(report.ok()) << "failed rank " << report.failed_rank
+                           << " exit " << report.first_failure;
 }
 
 TEST(FaultPaths, CollectorDeathIsFinalEvenWithRecoveryOn) {
-  const auto rank_main = [](net::Comm& comm,
-                            const fault::FtRankContext&) -> int {
+  const auto rank_main = [](net::Comm& comm) -> int {
     if (comm.rank() == 0) ::raise(SIGKILL);
     for (;;) std::this_thread::sleep_for(std::chrono::milliseconds(10));
   };
-  fault::FtLaunchOptions lopts;
-  lopts.launch.timeout_seconds = 60.0;
-  lopts.recovery = true;
-  const fault::FtLaunchReport report =
-      fault::run_ranks_ft(2, rank_main, lopts);
+  net::LaunchOptions lopts;
+  lopts.timeout_seconds = 60.0;
+  lopts.max_recoveries = 3;
+  const net::LaunchReport report = net::run_ranks_report(2, rank_main, lopts);
   EXPECT_FALSE(report.ok());
   EXPECT_EQ(report.replacements_forked, 0);
   bool saw = false;
@@ -155,6 +152,69 @@ TEST(FaultPaths, CollectorDeathIsFinalEvenWithRecoveryOn) {
                   f.reason == fault::FailureReason::KilledBySignal &&
                   f.detail == SIGKILL);
   EXPECT_TRUE(saw);
+}
+
+TEST(FaultPaths, RepeatedDeathEscalatesPastTheRecoveryBudget) {
+  const auto rank_main = [](net::Comm& comm) -> int {
+    if (comm.rank() == 1) ::raise(SIGKILL);  // every incarnation dies
+    return 0;
+  };
+  net::LaunchOptions lopts;
+  lopts.timeout_seconds = 60.0;
+  lopts.max_recoveries = 2;
+  const net::LaunchReport report = net::run_ranks_report(2, rank_main, lopts);
+  EXPECT_FALSE(report.ok());
+  EXPECT_EQ(report.replacements_forked, 2);
+  EXPECT_EQ(report.failed_rank, 1);
+  int kills = 0;
+  for (const fault::RankFailure& f : report.failures)
+    if (f.rank == 1 && f.reason == fault::FailureReason::KilledBySignal)
+      ++kills;
+  EXPECT_EQ(kills, 3);
+}
+
+TEST(FaultPaths, NonzeroExitIsNeverRecovered) {
+  const auto rank_main = [](net::Comm& comm) -> int {
+    return comm.rank() == 1 ? 7 : 0;
+  };
+  net::LaunchOptions lopts;
+  lopts.timeout_seconds = 60.0;
+  lopts.max_recoveries = 3;
+  const net::LaunchReport report = net::run_ranks_report(2, rank_main, lopts);
+  EXPECT_FALSE(report.ok());
+  EXPECT_EQ(report.replacements_forked, 0);
+  EXPECT_EQ(report.first_failure, 7);
+  EXPECT_EQ(report.failed_rank, 1);
+}
+
+TEST(FaultPaths, ReplacementKnowsItsIncarnationAndArmsNoInjections) {
+  // Rank 1 fires a DelayLink at its first completion and dies at its
+  // second. Its replacement must see incarnation 1 and arm neither action:
+  // a re-armed kill would die again and spend a second recovery, a
+  // re-armed delay would show up in its faults_injected count.
+  const auto rank_main = [](net::Comm& comm) -> int {
+    if (comm.rank() == 1 && comm.incarnation() > 1) return 11;
+    Rng rng(7);
+    Matrix a = random_gaussian(256, 128, rng);
+    int mt = 0, nt = 0;
+    EliminationList list = small_list(&mt, &nt);
+    distrun::DistOptions opts;
+    opts.progress_timeout_seconds = 60.0;
+    opts.fault.plan = fault::FaultPlan::parse("delay:1-0@1+0.01;kill:1@2");
+    distrun::DistStats stats;
+    (void)distrun::dist_qr_factorize(comm, a, 32, list,
+                                     Distribution::cyclic_1d(2), opts, &stats);
+    if (comm.rank() == 1) return comm.incarnation() == 1 ? 0 : 12;
+    if (stats.ranks[1].incarnation != 1) return 13;
+    return stats.ranks[1].faults_injected == 0 ? 0 : 14;
+  };
+  net::LaunchOptions lopts;
+  lopts.timeout_seconds = 120.0;
+  lopts.max_recoveries = 3;
+  const net::LaunchReport report = net::run_ranks_report(2, rank_main, lopts);
+  EXPECT_TRUE(report.ok()) << "failed rank " << report.failed_rank
+                           << " exit " << report.first_failure;
+  EXPECT_EQ(report.replacements_forked, 1);
 }
 
 }  // namespace

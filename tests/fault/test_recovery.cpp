@@ -5,8 +5,6 @@
 // under BOTH transports. Rank 0 also cross-validates the measured
 // recovery cost against the deterministic CommPlan quantities; failures
 // surface as distinct child exit codes through the launch report.
-#include "fault/ft_launcher.hpp"
-
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -15,7 +13,9 @@
 #include "core/factorization.hpp"
 #include "dag/partition.hpp"
 #include "distrun/dist_exec.hpp"
+#include "fault/plan.hpp"
 #include "linalg/random_matrix.hpp"
+#include "net/launcher.hpp"
 #include "trees/hqr_tree.hpp"
 
 namespace hqr {
@@ -77,8 +77,7 @@ int run_kill_recovery(const std::string& transport, BroadcastKind bcast) {
   const fault::FaultPlan fplan = fault::FaultPlan::parse("kill:2@3");
   const int victim = 2;
 
-  const auto rank_main = [&](net::Comm& comm,
-                             const fault::FtRankContext& ctx) -> int {
+  const auto rank_main = [&](net::Comm& comm) -> int {
     Rng rng(42);
     Matrix a = random_gaussian(kM, kN, rng);
     const TiledMatrix probe = TiledMatrix::from_matrix(a, kB);
@@ -90,11 +89,7 @@ int run_kill_recovery(const std::string& transport, BroadcastKind bcast) {
     opts.threads = 2;
     opts.broadcast = bcast;
     opts.progress_timeout_seconds = 60.0;
-    opts.fault.faults = ctx.faults;
-    opts.fault.recovery = true;
-    opts.fault.is_replacement = ctx.is_replacement;
-    opts.fault.incarnation = ctx.incarnation;
-    opts.fault.control_fd = ctx.control_fd;
+    opts.fault.plan = fplan;
 
     distrun::DistStats stats;
     QRFactors f =
@@ -132,14 +127,14 @@ int run_kill_recovery(const std::string& transport, BroadcastKind bcast) {
     return 0;
   };
 
-  fault::FtLaunchOptions lopts;
-  lopts.launch.timeout_seconds = 240.0;
-  lopts.launch.transport.kind = transport;
-  lopts.plan = fplan;
-  const fault::FtLaunchReport report = run_ranks_ft(4, rank_main, lopts);
+  net::LaunchOptions lopts;
+  lopts.timeout_seconds = 240.0;
+  lopts.transport.kind = transport;
+  lopts.max_recoveries = 3;
+  const net::LaunchReport report = net::run_ranks_report(4, rank_main, lopts);
 
-  EXPECT_TRUE(report.ok()) << "failed rank " << report.launch.failed_rank
-                           << " exit " << report.launch.first_failure;
+  EXPECT_TRUE(report.ok()) << "failed rank " << report.failed_rank
+                           << " exit " << report.first_failure;
   EXPECT_EQ(report.replacements_forked, 1);
   // The launcher saw the victim die by signal; peers reported the link.
   bool saw_kill = false;
@@ -147,7 +142,7 @@ int run_kill_recovery(const std::string& transport, BroadcastKind bcast) {
     saw_kill = saw_kill || (f.rank == victim &&
                             f.reason == fault::FailureReason::KilledBySignal);
   EXPECT_TRUE(saw_kill);
-  return report.launch.first_failure;
+  return report.first_failure;
 }
 
 TEST(Recovery, KillMidRunRecoversBitIdenticalUnixTransport) {
@@ -163,8 +158,8 @@ TEST(Recovery, KillMidRunRecoversUnderEagerBroadcast) {
 }
 
 TEST(Recovery, DropLinkRewiresWithoutReplacement) {
-  const auto rank_main = [&](net::Comm& comm,
-                             const fault::FtRankContext& ctx) -> int {
+  const fault::FaultPlan fplan = fault::FaultPlan::parse("drop:1-3@2");
+  const auto rank_main = [&](net::Comm& comm) -> int {
     Rng rng(42);
     Matrix a = random_gaussian(kM, kN, rng);
     const TiledMatrix probe = TiledMatrix::from_matrix(a, kB);
@@ -174,11 +169,7 @@ TEST(Recovery, DropLinkRewiresWithoutReplacement) {
     distrun::DistOptions opts;
     opts.threads = 2;
     opts.progress_timeout_seconds = 60.0;
-    opts.fault.faults = ctx.faults;
-    opts.fault.recovery = true;
-    opts.fault.is_replacement = ctx.is_replacement;
-    opts.fault.incarnation = ctx.incarnation;
-    opts.fault.control_fd = ctx.control_fd;
+    opts.fault.plan = fplan;
 
     QRFactors f = distrun::dist_qr_factorize(
         comm, a, kB, list, Distribution::block_cyclic_2d(2, 2), opts);
@@ -187,11 +178,11 @@ TEST(Recovery, DropLinkRewiresWithoutReplacement) {
     return bit_identical(f, ref) ? 0 : 2;
   };
 
-  fault::FtLaunchOptions lopts;
-  lopts.launch.timeout_seconds = 240.0;
-  lopts.plan = fault::FaultPlan::parse("drop:1-3@2");
-  const fault::FtLaunchReport report = run_ranks_ft(4, rank_main, lopts);
-  EXPECT_TRUE(report.ok()) << "failed rank " << report.launch.failed_rank;
+  net::LaunchOptions lopts;
+  lopts.timeout_seconds = 240.0;
+  lopts.max_recoveries = 3;
+  const net::LaunchReport report = net::run_ranks_report(4, rank_main, lopts);
+  EXPECT_TRUE(report.ok()) << "failed rank " << report.failed_rank;
   EXPECT_EQ(report.replacements_forked, 0);
   EXPECT_EQ(report.links_rewired, 1);
 }
