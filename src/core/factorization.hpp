@@ -17,11 +17,11 @@ namespace hqr {
 // The complete output of a tile QR factorization.
 class QRFactors {
  public:
-  // ib = 0 (default) uses the plain full-T kernels; 1 <= ib < b uses the
-  // inner-blocked production kernels (kernels/ib_kernels.hpp).
+  // 1 <= ib <= b is the inner block of the tile kernels; ib = 0 (default)
+  // resolves here, once, to default_inner_block(b), the host's tuned choice.
   QRFactors(TiledMatrix a, KernelList kernels, int ib = 0);
 
-  // Inner block size (0 = plain kernels).
+  // Resolved inner block size (always in [1, b]).
   int ib() const { return ib_; }
 
   int mt() const { return a_.mt(); }
@@ -59,7 +59,7 @@ void execute_kernel(const KernelOp& op, QRFactors& f, TileWorkspace& ws);
 // Factors `a` (tiled with tile size b) using the given elimination list,
 // executing kernels sequentially in list order. The list is not re-validated
 // here (use trees/validate.hpp); an invalid list yields a wrong R, which the
-// residual checks catch. ib selects inner blocking (0 = plain kernels).
+// residual checks catch. ib is the inner block (0 = default_inner_block(b)).
 QRFactors qr_factorize_sequential(const Matrix& a, int b,
                                   const EliminationList& list, int ib = 0);
 

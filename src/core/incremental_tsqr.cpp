@@ -26,6 +26,7 @@ void IncrementalTSQR::add_rows(const Matrix& block) {
                                              << " columns, expected " << n_);
   HQR_CHECK(block.rows() >= 1, "empty block");
   TiledMatrix incoming = TiledMatrix::from_matrix(block, b_);
+  const int ib = default_inner_block(b_);
 
   // Flat TS reduction of the incoming tiles into the running triangle: the
   // diagonal tile (k, k) of R kills tile (i, k) of the block, then the
@@ -34,11 +35,12 @@ void IncrementalTSQR::add_rows(const Matrix& block) {
   // column are well defined).
   for (int k = 0; k < nt_; ++k) {
     for (int i = 0; i < incoming.mt(); ++i) {
-      tsqrt(r_tiles_.tile(k, k), incoming.tile(i, k), t_scratch_.view(), ws_);
+      tsqrt_ib(r_tiles_.tile(k, k), incoming.tile(i, k), t_scratch_.view(),
+               ib, ws_);
       for (int j = k + 1; j < nt_; ++j) {
-        tsmqr(r_tiles_.tile(k, j), incoming.tile(i, j),
-              ConstMatrixView(incoming.tile(i, k)),
-              ConstMatrixView(t_scratch_.view()), Trans::Yes, ws_);
+        tsmqr_ib(r_tiles_.tile(k, j), incoming.tile(i, j),
+                 ConstMatrixView(incoming.tile(i, k)),
+                 ConstMatrixView(t_scratch_.view()), ib, Trans::Yes, ws_);
       }
     }
   }

@@ -80,7 +80,7 @@ struct DistFaultConfig {
 
 struct DistOptions {
   int threads = 1;  // workers per rank
-  int ib = 0;
+  int ib = 0;       // inner block (0 = default_inner_block(b) on each rank)
   // How a completed task's output reaches its consuming ranks. Binomial
   // (default) forwards through intermediate consumers so no producer's
   // send queue serializes a wide broadcast; Eager posts every frame from

@@ -1,4 +1,4 @@
-#include "kernels/ib_kernels.hpp"
+#include "kernels/tile_kernels.hpp"
 
 #include <algorithm>
 
@@ -78,8 +78,9 @@ void tsqrt_ib(MatrixView a1, MatrixView a2, MatrixView t, int ib,
   for (int j0 = 0; j0 < b; j0 += ib) {
     const int w = std::min(ib, b - j0);
     MatrixView tp = t.block(0, j0, w, w);
-    // Panel factorization (same recurrences as tsqrt, restricted to the
-    // panel columns).
+    // Panel factorization: one reflector of length b + 1 per column
+    // (the R1 diagonal entry over the dense A2 column), applied to the
+    // remaining panel columns only.
     for (int l = 0; l < w; ++l) {
       const int j = j0 + l;
       double alpha = a1(j, j);

@@ -1,5 +1,6 @@
 #include "linalg/kernel_tuning.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <cstdlib>
 #include <cstring>
@@ -181,6 +182,12 @@ void ensure_tuning_applied() {
     if (!micro_kernel_was_set() && !t.kernel.empty())
       set_active_micro_kernel(t.kernel);  // no-op on unknown/unsupported
   });
+}
+
+int default_inner_block(int b) {
+  HQR_CHECK(b >= 1, "tile size must be >= 1");
+  ensure_tuning_applied();
+  return std::min(householder_panel(), b);
 }
 
 }  // namespace hqr

@@ -1,16 +1,18 @@
 // Persistent per-host kernel tuning.
 //
 // The empirical tuner (core/kernel_tune.hpp, driven by tools/hqr_tune)
-// searches the micro-kernel shape, GEMM cache blocking, and Householder
-// panel width for the host CPU and saves the winner to a small versioned
-// JSON file keyed by the CPU brand string:
+// searches the micro-kernel shape, GEMM cache blocking, and the default
+// inner block of the tile kernels (the `householder_panel` knob, used when
+// a factorization passes ib = 0) for the host CPU and saves the winner to a
+// small versioned JSON file keyed by the CPU brand string:
 //
 //   {$XDG_CACHE_HOME|~/.cache}/hqr/tuning-<cpu-id>.json
 //
 // This module owns the file format and the consumption side: the first
-// TileWorkspace construction calls ensure_tuning_applied(), which loads the
-// cache (or falls back to the built-in defaults) and installs the
-// parameters process-wide. Environment overrides:
+// TileWorkspace construction or default_inner_block() call runs
+// ensure_tuning_applied(), which loads the cache (or falls back to the
+// built-in defaults) and installs the parameters process-wide. Environment
+// overrides:
 //
 //   HQR_TUNING=off       skip the cache entirely (built-in defaults stay)
 //   HQR_TUNING_FILE=...  read this file instead of the per-host path
@@ -27,10 +29,10 @@ struct KernelTuning {
   std::string cpu;     // tuning_cpu_id() of the machine that produced it
   std::string kernel;  // micro-kernel name or ISA tier ("" = best supported)
   GemmBlocking blocking{};
-  int householder_panel = 32;
+  int householder_panel = 32;  // default inner block (ib = 0)
 };
 
-// Built-in defaults: current GEMM blocking, panel width 32, best supported
+// Built-in defaults: current GEMM blocking, inner block 32, best supported
 // micro-kernel. Used whenever no (valid) cache file exists.
 KernelTuning default_kernel_tuning();
 
@@ -49,7 +51,7 @@ bool load_kernel_tuning(const std::string& path, KernelTuning& out);
 // Writes `path` (creating parent directories); false on I/O failure.
 bool save_kernel_tuning(const std::string& path, const KernelTuning& tuning);
 
-// Installs blocking + panel width + micro-kernel process-wide. The kernel
+// Installs blocking + inner block + micro-kernel process-wide. The kernel
 // is skipped when HQR_KERNEL_ISA is set (explicit override) or when the
 // named kernel is unknown/unsupported on this CPU.
 void apply_kernel_tuning(const KernelTuning& tuning);
@@ -59,5 +61,11 @@ void apply_kernel_tuning(const KernelTuning& tuning);
 // HQR_TUNING=off disables the cache lookup (defaults are NOT re-applied,
 // so test-set blocking survives).
 void ensure_tuning_applied();
+
+// The inner block a factorization asked for with ib = 0 runs at:
+// min(householder_panel(), b) after ensure_tuning_applied(), so every
+// process on a host resolves it the same way whether or not it has built a
+// TileWorkspace yet.
+int default_inner_block(int b);
 
 }  // namespace hqr

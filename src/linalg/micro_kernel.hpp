@@ -60,7 +60,7 @@ const MicroKernel& active_micro_kernel();
 bool set_active_micro_kernel(const std::string& name_or_isa);
 void set_active_micro_kernel(const MicroKernel& kernel);
 
-// True once a kernel / panel width has been set explicitly (setter or
+// True once a kernel / inner block has been set explicitly (setter or
 // HQR_KERNEL_ISA); the lazy tuning-cache hook checks these so deliberate
 // choices made before the first TileWorkspace are never clobbered.
 bool micro_kernel_was_set();
@@ -70,10 +70,12 @@ bool householder_panel_was_set();
 // unknown. Does not check CPU support.
 const MicroKernel* find_micro_kernel(const std::string& name_or_isa);
 
-// Process-wide panel width used by the full-T (ib = 0) Householder kernels
-// to aggregate their reflector updates into packed rank-k GEMMs. A tuning
-// knob like the GEMM blocking (mathematically invisible — the factors stay
-// the same compact-WY form); clamped to >= 4.
+// Process-wide default inner block of the tile kernels: a factorization
+// created with ib = 0 runs at min(householder_panel(), b) (see
+// default_inner_block in linalg/kernel_tuning.hpp). Unlike the GEMM
+// blocking it changes the panel split and so the rounding of the factors;
+// processes that must agree bit for bit resolve it from the same per-host
+// tuning cache. Clamped to >= 4.
 void set_householder_panel(int width);
 int householder_panel();
 

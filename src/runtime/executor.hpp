@@ -27,7 +27,8 @@ struct ExecutorOptions {
   bool priority_scheduling = true;
   // Data-reuse heuristic: keep one ready successor local to the worker.
   bool data_reuse = true;
-  // Inner block size for the kernels (0 = plain full-T kernels).
+  // Inner block of the tile kernels (0 = default_inner_block(b), the
+  // host's tuned choice).
   int ib = 0;
   // Observability sinks (obs/). Null = disabled; enabling costs two clock
   // reads per task plus lock-free per-lane appends / atomic updates.

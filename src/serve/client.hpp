@@ -52,7 +52,8 @@ class Client {
   Client(const Client&) = delete;
   Client& operator=(const Client&) = delete;
 
-  // One QR round-trip: returns R (and Q when want_q).
+  // One QR round-trip: returns R (and Q when want_q). ib is the inner block
+  // of the tile kernels; 0 asks for the server host's tuned default.
   QROutcome submit_qr(const Matrix& a, int b, int ib = 0,
                       TreeChoice tree = TreeChoice::FlatTs, int priority = 0,
                       bool want_q = false);

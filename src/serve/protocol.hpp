@@ -22,7 +22,7 @@
 //   Shutdown     -> Bye, then the server drains and exits
 //
 // Validation happens here, at the protocol layer: malformed or
-// out-of-contract requests (zero/negative dimensions, b = 0, ib > b,
+// out-of-contract requests (zero/negative dimensions, b = 0, ib >= b,
 // oversized payloads) produce a typed ErrorReply on the wire and leave the
 // server process — and the offending connection — alive.
 #pragma once
@@ -58,7 +58,7 @@ EliminationList elimination_for(TreeChoice t, int mt, int nt);
 enum class ErrorCode : std::int32_t {
   BadDimensions = 1,   // m or n < 1
   BadTileSize = 2,     // b < 1
-  BadInnerBlock = 3,   // ib < 0 or ib >= b (0 = plain kernels is valid)
+  BadInnerBlock = 3,   // ib < 0 or ib >= b (0 = per-host default is valid)
   TooLarge = 4,        // matrix or payload exceeds the server's limits
   BadTree = 5,         // unknown TreeChoice value
   Malformed = 6,       // payload does not parse / wrong length

@@ -1,15 +1,21 @@
-// End-to-end factorization with the inner-blocked production kernels: every
-// path (sequential, parallel, Q build/apply, least squares) must stay at
-// machine precision for any ib, and R must agree with the plain kernels.
+// End-to-end factorization with the inner-blocked tile kernels: every path
+// (sequential, parallel, Q build/apply, least squares) must stay at machine
+// precision for any ib, R must agree with the reference QR, and ib = 0 must
+// mean the host's default inner block in every process.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
+#include <string>
 #include <tuple>
 
 #include "common/rng.hpp"
 #include "core/factorization.hpp"
+#include "linalg/kernel_tuning.hpp"
+#include "linalg/micro_kernel.hpp"
 #include "linalg/norms.hpp"
 #include "linalg/random_matrix.hpp"
+#include "linalg/ref_qr.hpp"
 #include "runtime/executor.hpp"
 #include "trees/hqr_tree.hpp"
 #include "trees/single_level.hpp"
@@ -41,17 +47,17 @@ TEST_P(IbFactorization, SequentialExactness) {
   EXPECT_LT(factorization_residual(a0.view(), qs.view(), r.view()), kTol);
 }
 
-TEST_P(IbFactorization, RMatchesPlainKernels) {
+TEST_P(IbFactorization, RMatchesReferenceQr) {
   auto [m, n, b, ib] = GetParam();
   Rng rng(static_cast<std::uint64_t>(m) * 41 + n * 3 + b + ib);
   Matrix a0 = random_gaussian(m, n, rng);
   TiledMatrix probe = TiledMatrix::from_matrix(a0, b);
   auto list = flat_ts_list(probe.mt(), probe.nt());
   Matrix r_ib = extract_r(qr_factorize_sequential(a0, b, list, ib));
-  Matrix r_pl = extract_r(qr_factorize_sequential(a0, b, list, 0));
+  RefQR ref = ref_qr_unblocked(a0);
   for (int j = 0; j < r_ib.cols(); ++j)
     for (int i = 0; i <= std::min(j, r_ib.rows() - 1); ++i)
-      EXPECT_NEAR(std::abs(r_ib(i, j)), std::abs(r_pl(i, j)), 1e-10);
+      EXPECT_NEAR(std::abs(r_ib(i, j)), std::abs(ref.a(i, j)), 1e-10);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -121,6 +127,61 @@ TEST(IbFactorizationRuntime, IbEqualToTileSizeUsesStackedLayout) {
   QRFactors f = qr_factorize_sequential(a0, 4, flat_ts_list(4, 2), 4);
   Matrix q = build_q(f);
   EXPECT_LT(orthogonality_error(q.view()), kTol);
+}
+
+// Bitwise equality of two factorizations: tiles (R and V) and Q.
+void expect_same_bits(const QRFactors& x, const QRFactors& y) {
+  Matrix ax = x.a().to_padded_matrix(), ay = y.a().to_padded_matrix();
+  EXPECT_EQ(max_abs_diff(ax.view(), ay.view()), 0.0);
+  Matrix qx = build_q(x), qy = build_q(y);
+  EXPECT_EQ(max_abs_diff(qx.view(), qy.view()), 0.0);
+}
+
+TEST(IbFactorizationDefault, ZeroIsTheHostDefaultBitForBit) {
+  Rng rng(76);
+  const int b = 40;
+  Matrix a0 = random_gaussian(120, 80, rng);
+  HqrConfig cfg{2, 2, TreeKind::Greedy, TreeKind::Flat, true};
+  auto list = hqr_elimination_list(3, 2, cfg);
+  QRFactors dflt = qr_factorize_sequential(a0, b, list, 0);
+  const int ib = std::min(householder_panel(), b);
+  EXPECT_EQ(dflt.ib(), ib);
+  expect_same_bits(dflt, qr_factorize_sequential(a0, b, list, ib));
+
+  ExecutorOptions opts{4, true, true, /*ib=*/0};
+  expect_same_bits(dflt, qr_factorize_parallel(a0, b, list, opts));
+
+  // A different default moves every ib = 0 caller with it.
+  const int saved = householder_panel();
+  set_householder_panel(16);
+  QRFactors narrow = qr_factorize_sequential(a0, b, list, 0);
+  EXPECT_EQ(narrow.ib(), 16);
+  expect_same_bits(narrow, qr_factorize_sequential(a0, b, list, 16));
+  set_householder_panel(saved);
+}
+
+TEST(IbFactorizationDefault, ResolvedIbDoesNotDependOnAnEarlierWorkspace) {
+  // A fresh process whose per-host tuning cache says 16: ib = 0 must
+  // resolve to 16 before any TileWorkspace has loaded the cache, and stay
+  // 16 after one has.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const std::string path = ::testing::TempDir() + "/hqr-default-ib.json";
+  KernelTuning t = default_kernel_tuning();
+  t.householder_panel = 16;
+  ASSERT_TRUE(save_kernel_tuning(path, t));
+  auto resolve = [] {
+    return QRFactors(TiledMatrix(64, 64, 64), KernelList{}, 0).ib();
+  };
+  EXPECT_EXIT(
+      {
+        setenv("HQR_TUNING_FILE", path.c_str(), 1);
+        unsetenv("HQR_TUNING");
+        const int before = resolve();
+        TileWorkspace ws(64);
+        const int after = resolve();
+        std::exit(before == 16 && after == 16 ? 0 : 10 + before);
+      },
+      ::testing::ExitedWithCode(0), "");
 }
 
 }  // namespace

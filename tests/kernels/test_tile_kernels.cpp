@@ -1,8 +1,14 @@
+// The six inner-blocked tile kernels against dense reference algebra:
+// every panel split of every tile size factors exactly and applies the
+// same orthogonal Q it stores.
 #include "kernels/tile_kernels.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "linalg/norms.hpp"
@@ -14,49 +20,6 @@ namespace {
 
 constexpr double kTol = 1e-12;
 
-// Dense Q = I - V T V^T for an explicit (possibly trapezoidal) V.
-Matrix dense_q(const Matrix& v, const Matrix& t) {
-  const int m = v.rows();
-  Matrix vt(v.cols(), m);
-  Matrix q = Matrix::identity(m);
-  Matrix tv(v.rows(), v.cols());
-  gemm(Trans::No, Trans::No, 1.0, v.view(), t.view(), 0.0, tv.view());
-  gemm(Trans::No, Trans::Yes, -1.0, tv.view(), v.view(), 1.0, q.view());
-  return q;
-}
-
-// Explicit V from a GEQRT-factored tile: unit lower triangular b x b.
-Matrix explicit_v_geqrt(ConstMatrixView a) {
-  Matrix v(a.rows, a.cols);
-  for (int j = 0; j < a.cols; ++j) {
-    v(j, j) = 1.0;
-    for (int i = j + 1; i < a.rows; ++i) v(i, j) = a(i, j);
-  }
-  return v;
-}
-
-// Explicit V for TSQRT: [I_b; V2] with dense V2.
-Matrix explicit_v_ts(ConstMatrixView v2) {
-  const int b = v2.rows;
-  Matrix v(2 * b, b);
-  for (int j = 0; j < b; ++j) {
-    v(j, j) = 1.0;
-    for (int i = 0; i < b; ++i) v(b + i, j) = v2(i, j);
-  }
-  return v;
-}
-
-// Explicit V for TTQRT: [I_b; triu(V2)].
-Matrix explicit_v_tt(ConstMatrixView v2) {
-  const int b = v2.rows;
-  Matrix v(2 * b, b);
-  for (int j = 0; j < b; ++j) {
-    v(j, j) = 1.0;
-    for (int i = 0; i <= j; ++i) v(b + i, j) = v2(i, j);
-  }
-  return v;
-}
-
 Matrix upper_of(ConstMatrixView a) {
   Matrix r(a.rows, a.cols);
   for (int j = 0; j < a.cols; ++j)
@@ -64,18 +27,70 @@ Matrix upper_of(ConstMatrixView a) {
   return r;
 }
 
-class KernelSizes : public ::testing::TestWithParam<int> {};
+// Dense Q of one panel reflector: I - V T V^T with explicit V (m x w).
+Matrix panel_q(const Matrix& v, ConstMatrixView t) {
+  const int m = v.rows();
+  Matrix q = Matrix::identity(m);
+  Matrix vt(m, v.cols());
+  gemm(Trans::No, Trans::No, 1.0, v.view(), t, 0.0, vt.view());
+  gemm(Trans::No, Trans::Yes, -1.0, vt.view(), v.view(), 1.0, q.view());
+  return q;
+}
+
+// Accumulated dense Q = Q_p0 Q_p1 ... for a geqrt_ib tile.
+Matrix dense_q_geqrt_ib(ConstMatrixView a, ConstMatrixView t, int ib) {
+  const int b = a.rows;
+  Matrix q = Matrix::identity(b);
+  for (int j0 = 0; j0 < b; j0 += ib) {
+    const int w = std::min(ib, b - j0);
+    Matrix v(b, w);
+    for (int l = 0; l < w; ++l) {
+      v(j0 + l, l) = 1.0;
+      for (int i = j0 + l + 1; i < b; ++i) v(i, l) = a(i, j0 + l);
+    }
+    Matrix qp = panel_q(v, t.block(0, j0, w, w));
+    Matrix acc(b, b);
+    gemm(Trans::No, Trans::No, 1.0, q.view(), qp.view(), 0.0, acc.view());
+    q = acc;
+  }
+  return q;
+}
+
+// Accumulated dense Q for tsqrt_ib / ttqrt_ib on the 2b x b pencil.
+Matrix dense_q_pencil_ib(ConstMatrixView v2, ConstMatrixView t, int ib,
+                         bool triangular) {
+  const int b = v2.rows;
+  Matrix q = Matrix::identity(2 * b);
+  for (int j0 = 0; j0 < b; j0 += ib) {
+    const int w = std::min(ib, b - j0);
+    Matrix v(2 * b, w);
+    for (int l = 0; l < w; ++l) {
+      v(j0 + l, l) = 1.0;
+      const int rows = triangular ? j0 + l + 1 : b;
+      for (int r = 0; r < rows; ++r) v(b + r, l) = v2(r, j0 + l);
+    }
+    Matrix qp = panel_q(v, t.block(0, j0, w, w));
+    Matrix acc(2 * b, 2 * b);
+    gemm(Trans::No, Trans::No, 1.0, q.view(), qp.view(), 0.0, acc.view());
+    q = acc;
+  }
+  return q;
+}
+
+// (b, ib): every tile size 1..16 of the sweep with ib in {1, ceil(b/2), b},
+// plus a few uneven splits.
+class KernelSizes : public ::testing::TestWithParam<std::pair<int, int>> {};
 
 TEST_P(KernelSizes, GeqrtFactorsTileExactly) {
-  const int b = GetParam();
+  auto [b, ib] = GetParam();
   Rng rng(b * 17);
   Matrix a0 = random_gaussian(b, b, rng);
   Matrix a = a0;
   Matrix t(b, b);
   TileWorkspace ws(b);
-  geqrt(a.view(), t.view(), ws);
+  geqrt_ib(a.view(), t.view(), ib, ws);
 
-  Matrix q = dense_q(explicit_v_geqrt(a.view()), t);
+  Matrix q = dense_q_geqrt_ib(a.view(), t.view(), ib);
   EXPECT_LT(orthogonality_error(q.view()), kTol);
   // Q^T A0 == R.
   Matrix r(b, b);
@@ -88,13 +103,13 @@ TEST_P(KernelSizes, GeqrtFactorsTileExactly) {
 }
 
 TEST_P(KernelSizes, GeqrtMatchesReferenceRUpToSigns) {
-  const int b = GetParam();
+  auto [b, ib] = GetParam();
   Rng rng(b * 19);
   Matrix a0 = random_gaussian(b, b, rng);
   Matrix a = a0;
   Matrix t(b, b);
   TileWorkspace ws(b);
-  geqrt(a.view(), t.view(), ws);
+  geqrt_ib(a.view(), t.view(), ib, ws);
   RefQR ref = ref_qr_unblocked(a0);
   for (int j = 0; j < b; ++j)
     for (int i = 0; i <= j; ++i)
@@ -102,28 +117,28 @@ TEST_P(KernelSizes, GeqrtMatchesReferenceRUpToSigns) {
 }
 
 TEST_P(KernelSizes, UnmqrAppliesDenseQ) {
-  const int b = GetParam();
+  auto [b, ib] = GetParam();
   Rng rng(b * 23);
   Matrix a = random_gaussian(b, b, rng);
   Matrix t(b, b);
   TileWorkspace ws(b);
-  geqrt(a.view(), t.view(), ws);
-  Matrix q = dense_q(explicit_v_geqrt(a.view()), t);
+  geqrt_ib(a.view(), t.view(), ib, ws);
+  Matrix q = dense_q_geqrt_ib(a.view(), t.view(), ib);
 
   Matrix c0 = random_gaussian(b, b, rng);
   Matrix c = c0;
-  unmqr(a.view(), t.view(), Trans::Yes, c.view(), ws);
+  unmqr_ib(a.view(), t.view(), ib, Trans::Yes, c.view(), ws);
   Matrix expect(b, b);
   gemm(Trans::Yes, Trans::No, 1.0, q.view(), c0.view(), 0.0, expect.view());
   EXPECT_LT(max_abs_diff(c.view(), expect.view()), kTol);
 
   // Trans::No undoes Trans::Yes.
-  unmqr(a.view(), t.view(), Trans::No, c.view(), ws);
+  unmqr_ib(a.view(), t.view(), ib, Trans::No, c.view(), ws);
   EXPECT_LT(max_abs_diff(c.view(), c0.view()), kTol);
 }
 
 TEST_P(KernelSizes, TsqrtFactorsPencilExactly) {
-  const int b = GetParam();
+  auto [b, ib] = GetParam();
   Rng rng(b * 29);
   // R1 with garbage below the diagonal (stands in for the killer's GEQRT V).
   Matrix a1 = random_gaussian(b, b, rng);
@@ -136,7 +151,7 @@ TEST_P(KernelSizes, TsqrtFactorsPencilExactly) {
   Matrix a2 = a2_0;
   Matrix t(b, b);
   TileWorkspace ws(b);
-  tsqrt(a1.view(), a2.view(), t.view(), ws);
+  tsqrt_ib(a1.view(), a2.view(), t.view(), ib, ws);
 
   // Strictly-lower part of A1 untouched.
   for (int j = 0; j < b; ++j)
@@ -146,7 +161,7 @@ TEST_P(KernelSizes, TsqrtFactorsPencilExactly) {
   Matrix p(2 * b, b);
   copy(r1_0.view(), p.block(0, 0, b, b));
   copy(a2_0.view(), p.block(b, 0, b, b));
-  Matrix q = dense_q(explicit_v_ts(a2.view()), t);
+  Matrix q = dense_q_pencil_ib(a2.view(), t.view(), ib, /*triangular=*/false);
   EXPECT_LT(orthogonality_error(q.view()), kTol);
 
   Matrix qtp(2 * b, b);
@@ -159,19 +174,19 @@ TEST_P(KernelSizes, TsqrtFactorsPencilExactly) {
 }
 
 TEST_P(KernelSizes, TsmqrAppliesDenseQ) {
-  const int b = GetParam();
+  auto [b, ib] = GetParam();
   Rng rng(b * 31);
   Matrix a1 = random_gaussian(b, b, rng);
   Matrix a2 = random_gaussian(b, b, rng);
   Matrix t(b, b);
   TileWorkspace ws(b);
-  tsqrt(a1.view(), a2.view(), t.view(), ws);
-  Matrix q = dense_q(explicit_v_ts(a2.view()), t);
+  tsqrt_ib(a1.view(), a2.view(), t.view(), ib, ws);
+  Matrix q = dense_q_pencil_ib(a2.view(), t.view(), ib, /*triangular=*/false);
 
   Matrix c1_0 = random_gaussian(b, b, rng);
   Matrix c2_0 = random_gaussian(b, b, rng);
   Matrix c1 = c1_0, c2 = c2_0;
-  tsmqr(c1.view(), c2.view(), a2.view(), t.view(), Trans::Yes, ws);
+  tsmqr_ib(c1.view(), c2.view(), a2.view(), t.view(), ib, Trans::Yes, ws);
 
   Matrix cc(2 * b, b);
   copy(c1_0.view(), cc.block(0, 0, b, b));
@@ -182,13 +197,13 @@ TEST_P(KernelSizes, TsmqrAppliesDenseQ) {
   EXPECT_LT(max_abs_diff(c2.view(), expect.block(b, 0, b, b)), kTol);
 
   // Round trip.
-  tsmqr(c1.view(), c2.view(), a2.view(), t.view(), Trans::No, ws);
+  tsmqr_ib(c1.view(), c2.view(), a2.view(), t.view(), ib, Trans::No, ws);
   EXPECT_LT(max_abs_diff(c1.view(), c1_0.view()), kTol);
   EXPECT_LT(max_abs_diff(c2.view(), c2_0.view()), kTol);
 }
 
 TEST_P(KernelSizes, TtqrtFactorsTrianglePairExactly) {
-  const int b = GetParam();
+  auto [b, ib] = GetParam();
   Rng rng(b * 37);
   Matrix a1 = random_gaussian(b, b, rng);
   Matrix a2 = random_gaussian(b, b, rng);
@@ -199,7 +214,7 @@ TEST_P(KernelSizes, TtqrtFactorsTrianglePairExactly) {
 
   Matrix t(b, b);
   TileWorkspace ws(b);
-  ttqrt(a1.view(), a2.view(), t.view(), ws);
+  ttqrt_ib(a1.view(), a2.view(), t.view(), ib, ws);
 
   for (int j = 0; j < b; ++j)
     for (int i = j + 1; i < b; ++i) {
@@ -210,7 +225,7 @@ TEST_P(KernelSizes, TtqrtFactorsTrianglePairExactly) {
   Matrix p(2 * b, b);
   copy(r1_0.view(), p.block(0, 0, b, b));
   copy(r2_0.view(), p.block(b, 0, b, b));
-  Matrix q = dense_q(explicit_v_tt(a2.view()), t);
+  Matrix q = dense_q_pencil_ib(a2.view(), t.view(), ib, /*triangular=*/true);
   EXPECT_LT(orthogonality_error(q.view()), kTol);
 
   Matrix qtp(2 * b, b);
@@ -223,7 +238,7 @@ TEST_P(KernelSizes, TtqrtFactorsTrianglePairExactly) {
 }
 
 TEST_P(KernelSizes, TtmqrAppliesDenseQ) {
-  const int b = GetParam();
+  auto [b, ib] = GetParam();
   Rng rng(b * 41);
   Matrix a1 = random_gaussian(b, b, rng);
   Matrix a2 = random_gaussian(b, b, rng);
@@ -233,13 +248,13 @@ TEST_P(KernelSizes, TtmqrAppliesDenseQ) {
     for (int i = j + 1; i < b; ++i) a2(i, j) = 1e30;
   Matrix t(b, b);
   TileWorkspace ws(b);
-  ttqrt(a1.view(), a2.view(), t.view(), ws);
-  Matrix q = dense_q(explicit_v_tt(a2.view()), t);
+  ttqrt_ib(a1.view(), a2.view(), t.view(), ib, ws);
+  Matrix q = dense_q_pencil_ib(a2.view(), t.view(), ib, /*triangular=*/true);
 
   Matrix c1_0 = random_gaussian(b, b, rng);
   Matrix c2_0 = random_gaussian(b, b, rng);
   Matrix c1 = c1_0, c2 = c2_0;
-  ttmqr(c1.view(), c2.view(), a2.view(), t.view(), Trans::Yes, ws);
+  ttmqr_ib(c1.view(), c2.view(), a2.view(), t.view(), ib, Trans::Yes, ws);
 
   Matrix cc(2 * b, b);
   copy(c1_0.view(), cc.block(0, 0, b, b));
@@ -249,18 +264,33 @@ TEST_P(KernelSizes, TtmqrAppliesDenseQ) {
   EXPECT_LT(max_abs_diff(c1.view(), expect.block(0, 0, b, b)), kTol);
   EXPECT_LT(max_abs_diff(c2.view(), expect.block(b, 0, b, b)), kTol);
 
-  ttmqr(c1.view(), c2.view(), a2.view(), t.view(), Trans::No, ws);
+  ttmqr_ib(c1.view(), c2.view(), a2.view(), t.view(), ib, Trans::No, ws);
   EXPECT_LT(max_abs_diff(c1.view(), c1_0.view()), kTol);
   EXPECT_LT(max_abs_diff(c2.view(), c2_0.view()), kTol);
 }
 
+std::vector<std::pair<int, int>> size_sweep() {
+  std::vector<std::pair<int, int>> out;
+  for (const int b : {1, 2, 3, 4, 5, 8, 13, 16}) {
+    for (const int ib : {1, (b + 1) / 2, b}) {
+      if (out.empty() || out.back() != std::pair{b, ib})
+        out.emplace_back(b, ib);
+    }
+  }
+  // More panel splits that leave a narrower last panel.
+  for (const auto& split : {std::pair{6, 2}, std::pair{6, 3}, std::pair{7, 2},
+                            std::pair{8, 3}, std::pair{13, 4}, std::pair{16, 4}})
+    out.push_back(split);
+  return out;
+}
+
 INSTANTIATE_TEST_SUITE_P(TileSizes, KernelSizes,
-                         ::testing::Values(1, 2, 3, 4, 5, 8, 13, 16));
+                         ::testing::ValuesIn(size_sweep()));
 
 // End-to-end: a 3-tile panel [A0; A1; A2] reduced with GEQRT + two TSQRTs
 // (flat TS chain) must reproduce the reference R of the stacked 3b x b panel.
 TEST(KernelComposition, TsChainMatchesReferencePanelQr) {
-  const int b = 4;
+  const int b = 4, ib = 2;
   Rng rng(99);
   Matrix t0 = random_gaussian(b, b, rng);
   Matrix t1 = random_gaussian(b, b, rng);
@@ -272,9 +302,9 @@ TEST(KernelComposition, TsChainMatchesReferencePanelQr) {
 
   TileWorkspace ws(b);
   Matrix tg(b, b), tt1(b, b), tt2(b, b);
-  geqrt(t0.view(), tg.view(), ws);
-  tsqrt(t0.view(), t1.view(), tt1.view(), ws);
-  tsqrt(t0.view(), t2.view(), tt2.view(), ws);
+  geqrt_ib(t0.view(), tg.view(), ib, ws);
+  tsqrt_ib(t0.view(), t1.view(), tt1.view(), ib, ws);
+  tsqrt_ib(t0.view(), t2.view(), tt2.view(), ib, ws);
 
   RefQR ref = ref_qr_unblocked(stacked);
   for (int j = 0; j < b; ++j)
@@ -282,9 +312,10 @@ TEST(KernelComposition, TsChainMatchesReferencePanelQr) {
       EXPECT_NEAR(std::abs(t0(i, j)), std::abs(ref.a(i, j)), 1e-11);
 }
 
-// Binary TT reduction of two GEQRT'd tiles matches the reference R too.
+// Binary TT reduction of two GEQRT'd tiles matches the reference R too
+// (ib = 2 leaves a narrower last panel).
 TEST(KernelComposition, TtReductionMatchesReferencePanelQr) {
-  const int b = 5;
+  const int b = 5, ib = 2;
   Rng rng(101);
   Matrix t0 = random_gaussian(b, b, rng);
   Matrix t1 = random_gaussian(b, b, rng);
@@ -294,9 +325,9 @@ TEST(KernelComposition, TtReductionMatchesReferencePanelQr) {
 
   TileWorkspace ws(b);
   Matrix tg0(b, b), tg1(b, b), tt(b, b);
-  geqrt(t0.view(), tg0.view(), ws);
-  geqrt(t1.view(), tg1.view(), ws);
-  ttqrt(t0.view(), t1.view(), tt.view(), ws);
+  geqrt_ib(t0.view(), tg0.view(), ib, ws);
+  geqrt_ib(t1.view(), tg1.view(), ib, ws);
+  ttqrt_ib(t0.view(), t1.view(), tt.view(), ib, ws);
 
   RefQR ref = ref_qr_unblocked(stacked);
   for (int j = 0; j < b; ++j)
@@ -306,29 +337,36 @@ TEST(KernelComposition, TtReductionMatchesReferencePanelQr) {
 
 // Zero tiles: all kernels must be well-defined (tau = 0 paths).
 TEST(KernelEdgeCases, ZeroTilesProduceZeroTaus) {
-  const int b = 3;
+  const int b = 3, ib = 2;
   Matrix a(b, b), t(b, b);
   TileWorkspace ws(b);
-  geqrt(a.view(), t.view(), ws);
+  geqrt_ib(a.view(), t.view(), ib, ws);
   EXPECT_EQ(max_norm(t.view()), 0.0);
   EXPECT_EQ(max_norm(a.view()), 0.0);
 
   Matrix a1(b, b), a2(b, b), t2(b, b);
-  tsqrt(a1.view(), a2.view(), t2.view(), ws);
+  tsqrt_ib(a1.view(), a2.view(), t2.view(), ib, ws);
   EXPECT_EQ(max_norm(t2.view()), 0.0);
 }
 
 // TSQRT with an already-zero A2 leaves R1 unchanged.
 TEST(KernelEdgeCases, TsqrtWithZeroSquareIsIdentity) {
-  const int b = 4;
+  const int b = 4, ib = 2;
   Rng rng(7);
   Matrix a1 = random_gaussian(b, b, rng);
   Matrix r1 = a1;
   Matrix a2(b, b), t(b, b);
   TileWorkspace ws(b);
-  tsqrt(a1.view(), a2.view(), t.view(), ws);
+  tsqrt_ib(a1.view(), a2.view(), t.view(), ib, ws);
   EXPECT_LT(max_abs_diff(a1.view(), r1.view()), 1e-15);
   EXPECT_EQ(max_norm(t.view()), 0.0);
+}
+
+TEST(IbKernels, BadIbThrows) {
+  TileWorkspace ws(4);
+  Matrix a(4, 4), t(4, 4);
+  EXPECT_THROW(geqrt_ib(a.view(), t.view(), 0, ws), Error);
+  EXPECT_THROW(geqrt_ib(a.view(), t.view(), 5, ws), Error);
 }
 
 }  // namespace

@@ -75,6 +75,21 @@ TEST(Protocol, ValidationRejectsBadShapes) {
   EXPECT_FALSE(validate_shape(8, 8, 4, 2, small_limits()).has_value());
 }
 
+TEST(Protocol, InnerBlockIsZeroForTheHostDefaultOrBelowTheTileSize) {
+  // ib = 0 asks for the server host's default inner block; an explicit ib
+  // must be in [1, b). Everything else is a typed BadInnerBlock.
+  for (const int ib : {0, 1, 3})
+    EXPECT_FALSE(validate_shape(8, 8, 4, ib, small_limits()).has_value())
+        << "ib=" << ib;
+  for (const int ib : {-1, -4, 4, 5}) {
+    auto e = validate_shape(8, 8, 4, ib, small_limits());
+    ASSERT_TRUE(e.has_value()) << "ib=" << ib;
+    EXPECT_EQ(e->code, ErrorCode::BadInnerBlock);
+    EXPECT_NE(e->message.find("0 (per-host default)"), std::string::npos)
+        << e->message;
+  }
+}
+
 TEST(Protocol, StreamOpenBoundsTileSizeAndPaddedTriangle) {
   // The running R triangle is pn x pn (n padded to whole b-tiles): a tiny
   // stream with a gigantic b must be rejected before anything is sized.

@@ -1,7 +1,7 @@
 // hqr_tune: empirical kernel autotuner CLI.
 //
-// Searches micro-kernel shape x GEMM cache blocking x Householder panel
-// width for this machine (see core/kernel_tune.hpp) and writes the winner
+// Searches micro-kernel shape x GEMM cache blocking x default inner block
+// for this machine (see core/kernel_tune.hpp) and writes the winner
 // to the per-host tuning cache, which every hqr binary loads automatically
 // at startup.
 //
@@ -23,8 +23,8 @@ void usage(const char* argv0) {
       "usage: %s [--b N] [--ib N] [--min-time SECS] [--out PATH]\n"
       "          [--dry-run] [--quiet]\n"
       "  --b N          tile size to tune for (default 280)\n"
-      "  --ib N         inner block size of the ib kernel paths (default 32;\n"
-      "                 0 = tune the full-T paths only)\n"
+      "  --ib N         inner block of the blocking search (default 32;\n"
+      "                 0 = the tuned default)\n"
       "  --min-time S   seconds of measurement per candidate (default 0.02)\n"
       "  --out PATH     cache file to write (default: the per-host path)\n"
       "  --dry-run      search and print, but do not write the cache\n"
