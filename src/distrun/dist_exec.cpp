@@ -382,7 +382,8 @@ QRFactors dist_qr_factorize(net::Comm& comm, const Matrix& a, int b,
                  std::memory_order_acquire))
         ++fdone;
       std::string ids;
-      for (const net::Message& dm : deferred) ids += " " + std::to_string(dm.id);
+      for (const net::Message& dm : deferred)
+        ids.append(" ").append(std::to_string(dm.id));
       std::fprintf(stderr,
                    "[rank %d%s] %s: %zu/%zu local tasks done, lowest "
                    "incomplete local task %d, %zu deferred frame(s):%s\n",

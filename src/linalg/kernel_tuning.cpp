@@ -103,15 +103,18 @@ std::string tuning_cpu_id() {
 std::string default_tuning_path() {
   if (const char* env = std::getenv("HQR_TUNING_FILE"); env && env[0])
     return env;
-  std::string base;
+  // Built with append(): GCC 12 reports a false -Wrestrict overlap for the
+  // inlined assign-a-literal and `+` chain forms of this code.
+  std::string path;
   if (const char* xdg = std::getenv("XDG_CACHE_HOME"); xdg && xdg[0]) {
-    base = xdg;
+    path.append(xdg);
   } else if (const char* home = std::getenv("HOME"); home && home[0]) {
-    base = std::string(home) + "/.cache";
+    path.append(home).append("/.cache");
   } else {
-    base = ".";
+    path.append(".");
   }
-  return base + "/hqr/tuning-" + tuning_cpu_id() + ".json";
+  path.append("/hqr/tuning-").append(tuning_cpu_id()).append(".json");
+  return path;
 }
 
 bool load_kernel_tuning(const std::string& path, KernelTuning& out) {
@@ -155,14 +158,6 @@ bool save_kernel_tuning(const std::string& path, const KernelTuning& tuning) {
        << "  \"householder_panel\": " << tuning.householder_panel << "\n"
        << "}\n";
   return static_cast<bool>(outf);
-}
-
-void apply_kernel_tuning(const KernelTuning& tuning) {
-  set_gemm_blocking(tuning.blocking);
-  set_householder_panel(tuning.householder_panel);
-  const char* isa_env = std::getenv("HQR_KERNEL_ISA");
-  if ((isa_env == nullptr || isa_env[0] == '\0') && !tuning.kernel.empty())
-    set_active_micro_kernel(tuning.kernel);  // no-op on unknown/unsupported
 }
 
 void ensure_tuning_applied() {

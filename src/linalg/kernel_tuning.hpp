@@ -51,11 +51,6 @@ bool load_kernel_tuning(const std::string& path, KernelTuning& out);
 // Writes `path` (creating parent directories); false on I/O failure.
 bool save_kernel_tuning(const std::string& path, const KernelTuning& tuning);
 
-// Installs blocking + inner block + micro-kernel process-wide. The kernel
-// is skipped when HQR_KERNEL_ISA is set (explicit override) or when the
-// named kernel is unknown/unsupported on this CPU.
-void apply_kernel_tuning(const KernelTuning& tuning);
-
 // Idempotent startup hook: applies the cached tuning for this host if a
 // valid cache matches tuning_cpu_id(), the built-in defaults otherwise.
 // HQR_TUNING=off disables the cache lookup (defaults are NOT re-applied,

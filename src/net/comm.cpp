@@ -38,16 +38,6 @@ void Comm::enable_fault_tolerance(CommFaultHooks hooks) {
   if (control_.valid()) set_nonblocking(control_.get());
 }
 
-bool Comm::peer_down(int q) const {
-  std::lock_guard<std::mutex> lk(send_mu_);
-  return down_[static_cast<std::size_t>(q)] != 0;
-}
-
-int Comm::peer_epoch(int q) const {
-  std::lock_guard<std::mutex> lk(send_mu_);
-  return epoch_[static_cast<std::size_t>(q)];
-}
-
 void Comm::sever_link(int q) {
   HQR_CHECK(q >= 0 && q < size() && q != rank_, "bad link peer " << q);
   // Called from a worker thread: the communication thread may be swapping
@@ -234,7 +224,7 @@ bool Comm::drain_peer(int q, std::vector<Message>& out) {
                     << kFrameHeaderBytes << ")");
       HQR_CHECK(valid_tag(r.header.tag),
                 "unknown tag " << r.header.tag << " from rank " << q);
-      HQR_CHECK(r.header.bytes < (1ull << 34),
+      HQR_CHECK(r.header.bytes < kMaxFrameBytes,
                 "implausible frame size from rank " << q);
       r.payload.resize(static_cast<std::size_t>(r.header.bytes));
       r.payload_got = 0;

@@ -110,13 +110,6 @@ class Comm {
   // builds.
   void enable_fault_tolerance(CommFaultHooks hooks);
 
-  // True while frames to q are being dropped (between peer death and the
-  // launcher's re-wire). Thread-safe.
-  bool peer_down(int q) const;
-
-  // Times the link to q has been re-wired (the LinkDown dedup epoch).
-  int peer_epoch(int q) const;
-
   // Chaos hook (fault/plan.hpp DropLink): hard-closes both directions of
   // the stream to q, so both endpoints observe EOF as if the link failed.
   // Thread-safe.

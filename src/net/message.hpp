@@ -122,6 +122,9 @@ inline constexpr std::uint16_t kWireVersion = 2;
 // Serialized header size; rides in the header itself so a peer with a
 // larger (newer) layout is rejected instead of desynchronizing the stream.
 inline constexpr std::size_t kFrameHeaderBytes = 32;
+// Payload length bound (16 GiB): a frame declaring this much or more is a
+// corrupt or hostile header, rejected before any buffer is sized by it.
+inline constexpr std::uint64_t kMaxFrameBytes = 1ull << 34;
 
 struct FrameHeader {
   std::uint32_t magic = kMagic;

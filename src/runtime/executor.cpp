@@ -107,23 +107,32 @@ QRFactors qr_factorize_parallel(const Matrix& a, int b,
   return f;
 }
 
+QFormation q_formation(std::shared_ptr<const QRFactors> f) {
+  auto q = std::make_shared<TiledMatrix>(
+      f->a().padded_m(), std::min(f->a().padded_m(), f->a().padded_n()),
+      f->b());
+  for (int d = 0; d < std::min(q->padded_m(), q->padded_n()); ++d)
+    q->set(d, d, 1.0);
+  auto ops = std::make_shared<const KernelList>(
+      q_apply_ops(*f, Trans::No, q->nt(), /*economy=*/true));
+  auto graph = std::make_shared<const TaskGraph>(
+      TaskGraph::apply_graph(*ops, f->mt(), q->nt()));
+  DagPool::ExecuteFn execute = [f = std::move(f), q, ops](
+                                   std::int32_t idx, TileWorkspace& ws) {
+    execute_apply_kernel((*ops)[static_cast<std::size_t>(idx)], *f,
+                         Trans::No, *q, ws);
+  };
+  return {std::move(q), std::move(graph), std::move(execute)};
+}
+
 Matrix build_q_parallel(const QRFactors& f, const ExecutorOptions& opts,
                         RunStats* stats) {
-  TiledMatrix q(f.a().padded_m(),
-                std::min(f.a().padded_m(), f.a().padded_n()), f.b());
-  for (int d = 0; d < std::min(q.padded_m(), q.padded_n()); ++d)
-    q.set(d, d, 1.0);
-  const KernelList ops =
-      q_apply_ops(f, Trans::No, q.nt(), /*economy=*/true);
-  TaskGraph graph = TaskGraph::apply_graph(ops, f.mt(), q.nt());
-  RunStats s = run_graph(
-      graph, f.b(),
-      [&](std::int32_t idx, TileWorkspace& ws) {
-        execute_apply_kernel(ops[idx], f, Trans::No, q, ws);
-      },
-      opts);
+  // Non-owning: the caller's factors outlive the run.
+  const QFormation qf =
+      q_formation(std::shared_ptr<const QRFactors>(std::shared_ptr<void>(), &f));
+  RunStats s = run_graph(*qf.graph, f.b(), qf.execute, opts);
   if (stats) *stats = s;
-  return q.to_padded_matrix();
+  return qf.q->to_padded_matrix();
 }
 
 void apply_q_parallel(const QRFactors& f, Trans trans, TiledMatrix& c,

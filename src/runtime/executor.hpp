@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "core/factorization.hpp"
@@ -91,8 +92,20 @@ QRFactors qr_factorize_parallel(const Matrix& a, int b,
                                 const ExecutorOptions& opts,
                                 RunStats* stats = nullptr);
 
-// Parallel Q formation (dorgqr analogue): builds the economy Q through the
-// runtime using the Q-application task graph.
+// The economy-Q formation DAG of a factorization (dorgqr analogue): `q`
+// starts as the tile-padded identity, padded_m x min(padded_m, padded_n),
+// and task i applies the i-th of the factor kernels, reversed, to it. The
+// task body shares ownership of `f`, `q` and the op list, so the DAG may
+// outlive the caller (the server chains it on its shared pool).
+struct QFormation {
+  std::shared_ptr<TiledMatrix> q;
+  std::shared_ptr<const TaskGraph> graph;
+  DagPool::ExecuteFn execute;
+};
+QFormation q_formation(std::shared_ptr<const QRFactors> f);
+
+// Parallel Q formation: runs q_formation(f) on a private pool and returns
+// the padded Q (its leading m x min(m, n) block is the economy Q).
 Matrix build_q_parallel(const QRFactors& f, const ExecutorOptions& opts,
                         RunStats* stats = nullptr);
 

@@ -15,7 +15,8 @@ namespace hqr {
 
 struct QROptions {
   int b = 0;        // tile size; 0 = choose from the shape
-  int ib = 0;       // inner block; 0 = b/4 (clamped), production kernels
+  int ib = 0;       // inner block; 0 = b/4 (at least 1) of the b used,
+                    // larger values are capped at b
   int threads = 1;  // runtime workers
   // Override the automatic tree choice (used when auto_tree is false).
   bool auto_tree = true;

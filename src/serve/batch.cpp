@@ -54,9 +54,11 @@ void FusedBatch::execute(std::int32_t idx, TileWorkspace& ws) {
   execute_kernel(f.kernels()[local], f, ws);
 }
 
-Matrix FusedBatch::r(std::size_t p) const {
+const QRFactors& FusedBatch::factors(std::size_t p) const {
   HQR_CHECK(p < factors_.size(), "problem index " << p << " out of range");
-  return extract_r(factors_[p]);
+  return factors_[p];
 }
+
+Matrix FusedBatch::r(std::size_t p) const { return extract_r(factors(p)); }
 
 }  // namespace hqr::serve

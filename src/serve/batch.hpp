@@ -17,6 +17,10 @@
 // unshifted kernel list, so fused results are bit-identical to running the
 // problems one by one (the kernels and their relative order per problem are
 // unchanged; kernels of different problems touch disjoint memory).
+//
+// The server builds every factor DAG here: a SubmitQR is a batch of one,
+// whose row offset is 0, so its graph is exactly the plain
+// TaskGraph(kernels, mt, nt) of its problem.
 #pragma once
 
 #include <cstdint>
@@ -47,6 +51,10 @@ class FusedBatch {
   // Executes fused task `idx` against the owning problem's factors.
   // Thread-safe for concurrent distinct indices (disjoint tiles).
   void execute(std::int32_t idx, TileWorkspace& ws);
+
+  // Problem p's factors (its Householder vectors and T blocks), complete
+  // once every task has executed.
+  const QRFactors& factors(std::size_t p) const;
 
   // R of problem p, valid once every task has executed.
   Matrix r(std::size_t p) const;

@@ -9,18 +9,8 @@
 
 namespace hqr::serve {
 
-namespace {
-
-using net::FrameHeader;
 using net::Tag;
-
-struct Frame {
-  Tag tag;
-  std::int32_t id;
-  std::vector<std::uint8_t> payload;
-};
-
-}  // namespace
+using Frame = net::Message;
 
 struct Client::Impl {
   explicit Impl(const ClientOptions& o) : opts(o) {
@@ -33,34 +23,22 @@ struct Client::Impl {
 
   void send(Tag tag, std::int32_t id,
             const std::vector<std::uint8_t>& payload) {
-    FrameHeader h;
-    h.tag = static_cast<std::uint32_t>(tag);
-    h.src = -1;
-    h.id = id;
-    h.bytes = payload.size();
-    std::uint8_t hb[net::kFrameHeaderBytes];
-    net::encode_header(h, hb);
-    const double deadline = monotonic_seconds() + opts.timeout_seconds;
-    net::write_all(fd.get(), hb, sizeof(hb), deadline);
-    if (!payload.empty())
-      net::write_all(fd.get(), payload.data(), payload.size(), deadline);
+    write_frame(fd.get(), tag, /*src=*/-1, id, payload,
+                monotonic_seconds() + opts.timeout_seconds);
   }
 
   Frame recv() {
     const double deadline = monotonic_seconds() + opts.timeout_seconds;
-    std::uint8_t hb[net::kFrameHeaderBytes];
-    net::read_all(fd.get(), hb, sizeof(hb), deadline);
-    const FrameHeader h = net::decode_header(hb);
-    HQR_CHECK(h.magic == net::kMagic && h.version == net::kWireVersion &&
-                  h.header_bytes == net::kFrameHeaderBytes &&
-                  net::valid_tag(h.tag),
-              "malformed response frame from server");
+    const net::FrameHeader h = read_frame_header(fd.get(), deadline);
+    HQR_CHECK(h.bytes < net::kMaxFrameBytes,
+              "response frame declares " << h.bytes
+                                         << " payload bytes, past the "
+                                         << net::kMaxFrameBytes
+                                         << "-byte frame bound");
     Frame f;
     f.tag = static_cast<Tag>(h.tag);
     f.id = h.id;
-    f.payload.resize(static_cast<std::size_t>(h.bytes));
-    if (h.bytes > 0)
-      net::read_all(fd.get(), f.payload.data(), f.payload.size(), deadline);
+    read_frame_payload(fd.get(), h.bytes, deadline, &f.payload);
     return f;
   }
 

@@ -1,8 +1,10 @@
 #include "serve/protocol.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/check.hpp"
+#include "net/socket.hpp"
 #include "trees/single_level.hpp"
 
 namespace hqr::serve {
@@ -441,6 +443,53 @@ ErrorInfo decode_error(const std::vector<std::uint8_t>& payload) {
   e.message.resize(static_cast<std::size_t>(len));
   if (len > 0) r.raw(e.message.data(), static_cast<std::size_t>(len));
   return e;
+}
+
+net::FrameHeader read_frame_header(int fd, double deadline) {
+  std::uint8_t hb[net::kFrameHeaderBytes];
+  net::read_all(fd, hb, sizeof(hb), deadline);
+  const net::FrameHeader h = net::decode_header(hb);
+  HQR_CHECK(h.magic == net::kMagic && h.version == net::kWireVersion &&
+                h.header_bytes == net::kFrameHeaderBytes &&
+                net::valid_tag(h.tag),
+            "malformed frame header");
+  return h;
+}
+
+void read_frame_payload(int fd, std::uint64_t bytes, double deadline,
+                        std::vector<std::uint8_t>* out) {
+  constexpr std::uint64_t kChunk = 1 << 20;
+  std::vector<std::uint8_t> discard;
+  if (out == nullptr) discard.resize(std::min(bytes, kChunk));
+  else out->clear();
+  for (std::uint64_t got = 0; got < bytes;) {
+    const auto n = static_cast<std::size_t>(std::min(bytes - got, kChunk));
+    std::uint8_t* dst = discard.data();
+    if (out != nullptr) {
+      // Double as bytes arrive, but never past the declared length.
+      if (out->size() + n > out->capacity())
+        out->reserve(static_cast<std::size_t>(
+            std::min<std::uint64_t>(bytes, 2 * out->capacity() + n)));
+      out->resize(out->size() + n);
+      dst = out->data() + out->size() - n;
+    }
+    net::read_all(fd, dst, n, deadline);
+    got += n;
+  }
+}
+
+void write_frame(int fd, net::Tag tag, std::int32_t src, std::int32_t id,
+                 const std::vector<std::uint8_t>& payload, double deadline) {
+  net::FrameHeader h;
+  h.tag = static_cast<std::uint32_t>(tag);
+  h.src = src;
+  h.id = id;
+  h.bytes = payload.size();
+  std::uint8_t hb[net::kFrameHeaderBytes];
+  net::encode_header(h, hb);
+  net::write_all(fd, hb, sizeof(hb), deadline);
+  if (!payload.empty())
+    net::write_all(fd, payload.data(), payload.size(), deadline);
 }
 
 }  // namespace hqr::serve

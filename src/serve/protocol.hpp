@@ -206,4 +206,22 @@ ServerStatus decode_status(const std::vector<std::uint8_t>& payload);
 void encode_error(const ErrorInfo& e, std::vector<std::uint8_t>& out);
 ErrorInfo decode_error(const std::vector<std::uint8_t>& payload);
 
+// ---- Framing (both ends of a serving connection) ----
+
+// Reads one frame header and checks magic, version, header size and tag.
+// Throws hqr::Error on EOF, timeout, or a header this build cannot trust
+// (the stream is out of sync and the connection must be dropped).
+net::FrameHeader read_frame_header(int fd, double deadline);
+
+// Reads a `bytes`-long payload into `out` (null: read and discard it) in
+// bounded chunks. The buffer grows only as bytes arrive, so a declared
+// length by itself never commits memory. Throws hqr::Error on EOF or
+// timeout.
+void read_frame_payload(int fd, std::uint64_t bytes, double deadline,
+                        std::vector<std::uint8_t>* out);
+
+// Writes one frame: header, then payload. Throws hqr::Error on failure.
+void write_frame(int fd, net::Tag tag, std::int32_t src, std::int32_t id,
+                 const std::vector<std::uint8_t>& payload, double deadline);
+
 }  // namespace hqr::serve

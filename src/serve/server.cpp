@@ -6,6 +6,7 @@
 #include <condition_variable>
 #include <deque>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <unordered_map>
 #include <utility>
@@ -15,11 +16,11 @@
 #include "common/stopwatch.hpp"
 #include "core/factorization.hpp"
 #include "core/incremental_tsqr.hpp"
-#include "dag/task_graph.hpp"
 #include "linalg/tiled_matrix.hpp"
 #include "net/message.hpp"
 #include "net/socket.hpp"
 #include "runtime/dag_pool.hpp"
+#include "runtime/executor.hpp"
 #include "serve/batch.hpp"
 
 namespace hqr::serve {
@@ -215,19 +216,9 @@ struct Server::Impl {
         r = std::move(sh.outbox.front());
         sh.outbox.pop_front();
       }
-      FrameHeader h;
-      h.tag = static_cast<std::uint32_t>(r.tag);
-      h.src = 0;
-      h.id = r.id;
-      h.bytes = r.payload.size();
-      std::uint8_t hb[net::kFrameHeaderBytes];
-      net::encode_header(h, hb);
       try {
-        const double deadline = monotonic_seconds() + kIoDeadlineSeconds;
-        net::write_all(s->fd.get(), hb, sizeof(hb), deadline);
-        if (!r.payload.empty())
-          net::write_all(s->fd.get(), r.payload.data(), r.payload.size(),
-                         deadline);
+        write_frame(s->fd.get(), r.tag, /*src=*/0, r.id, r.payload,
+                    monotonic_seconds() + kIoDeadlineSeconds);
       } catch (const Error&) {
         // Peer gone mid-write: stop flushing, reader will notice EOF too.
         std::lock_guard<std::mutex> lk(sh.mu);
@@ -252,16 +243,12 @@ struct Server::Impl {
       FrameHeader h;
       std::vector<std::uint8_t> payload;
       try {
-        std::uint8_t hb[net::kFrameHeaderBytes];
-        net::read_all(s->fd.get(), hb, sizeof(hb),
-                      monotonic_seconds() + kIoDeadlineSeconds);
-        h = net::decode_header(hb);
-        if (h.magic != net::kMagic || h.version != net::kWireVersion ||
-            h.header_bytes != net::kFrameHeaderBytes ||
-            !net::valid_tag(h.tag))
-          break;  // protocol desync: the stream cannot be trusted anymore
+        h = read_frame_header(s->fd.get(),
+                              monotonic_seconds() + kIoDeadlineSeconds);
+        const double deadline = monotonic_seconds() + kIoDeadlineSeconds;
         if (h.bytes > static_cast<std::uint64_t>(opts.limits.max_payload_bytes)) {
-          drain_payload(s, h.bytes);
+          // Drained without being stored, so the frame boundary holds.
+          read_frame_payload(s->fd.get(), h.bytes, deadline, nullptr);
           reject(s, h.id,
                  {ErrorCode::TooLarge,
                   "payload of " + std::to_string(h.bytes) +
@@ -269,12 +256,11 @@ struct Server::Impl {
                       std::to_string(opts.limits.max_payload_bytes)});
           continue;
         }
-        payload.resize(static_cast<std::size_t>(h.bytes));
-        if (h.bytes > 0)
-          net::read_all(s->fd.get(), payload.data(), payload.size(),
-                        monotonic_seconds() + kIoDeadlineSeconds);
+        read_frame_payload(s->fd.get(), h.bytes, deadline, &payload);
       } catch (const Error&) {
-        break;  // EOF or read timeout: connection is gone
+        // EOF, read timeout, or a header out of sync with the stream: the
+        // connection cannot be trusted anymore.
+        break;
       }
 
       try {
@@ -310,19 +296,6 @@ struct Server::Impl {
     }
     s->shared->cv.notify_all();
     s->dead.store(true, std::memory_order_release);
-  }
-
-  // Reads and discards an oversized declared payload in bounded chunks so
-  // the frame boundary is preserved without allocating `bytes`.
-  void drain_payload(Session* s, std::uint64_t bytes) {
-    std::vector<std::uint8_t> chunk(64 * 1024);
-    while (bytes > 0) {
-      const std::size_t n =
-          static_cast<std::size_t>(std::min<std::uint64_t>(bytes, chunk.size()));
-      net::read_all(s->fd.get(), chunk.data(), n,
-                    monotonic_seconds() + kIoDeadlineSeconds);
-      bytes -= n;
-    }
   }
 
   void reject(Session* s, std::int32_t id, const ErrorInfo& e) {
@@ -408,273 +381,215 @@ struct Server::Impl {
     return true;
   }
 
+  // A SubmitQR is a one-problem batch: both submit handlers decode their
+  // job and hand it to submit_factor; only the reply tag differs.
   void handle_submit_qr(Session* s, std::int32_t id,
                         const std::vector<std::uint8_t>& payload) {
-    auto job = std::make_shared<QRJob>();
-    if (auto e = decode_submit_qr(payload, opts.limits, job.get())) {
+    QRJob job;
+    if (auto e = decode_submit_qr(payload, opts.limits, &job)) {
       reject(s, id, *e);
       return;
     }
-    if (admission_closed(s, id)) return;
-    if (!tenant_admit(job->tenant)) {
-      requests_overloaded.fetch_add(1, std::memory_order_relaxed);
-      reject(s, id,
-             {ErrorCode::Overloaded,
-              "tenant " + std::to_string(job->tenant) + " is at " +
-                  std::to_string(opts.limits.max_inflight_per_tenant) +
-                  " in-flight requests"});
-      return;
-    }
-    note_tenant(job->tenant);
-
-    auto tiled = TiledMatrix::from_matrix(job->a, job->b);
-    const int mt = tiled.mt();
-    const int nt = tiled.nt();
-    KernelList kernels =
-        expand_to_kernels(elimination_for(job->tree, mt, nt), mt, nt);
-    auto graph = std::make_shared<const TaskGraph>(kernels, mt, nt);
-    auto f = std::make_shared<QRFactors>(std::move(tiled), std::move(kernels),
-                                         job->ib);
-
-    const double t0 = monotonic_seconds();
-    auto shared = s->shared;
-    DagSubmitOptions sopts;
-    sopts.priority = job->priority;
-    sopts.on_done = [this, shared, id, f, job, t0](DagId, bool cancelled) {
-      finish_qr_factor(shared, id, f, job, t0, cancelled);
-    };
-    // Register before submit: on_done can fire (and erase the entry) before
-    // submit() even returns. A placeholder DagId 0 is never live, so a
-    // Cancel racing this window is a harmless no-op. The accepted counter
-    // also bumps pre-submit so completion can never outrun it in a Status
-    // snapshot.
-    {
-      std::lock_guard<std::mutex> lk(shared->mu);
-      shared->pending.emplace(id, DagId{0});
-    }
-    requests_accepted.fetch_add(1, std::memory_order_relaxed);
-    DagId dag{0};
-    try {
-      dag = pool->submit(
-          graph, job->b,
-          [f](std::int32_t idx, TileWorkspace& ws) {
-            execute_kernel(f->kernels()[static_cast<std::size_t>(idx)], *f, ws);
-          },
-          std::move(sopts));
-    } catch (const PoolOverloaded& e) {
-      requests_overloaded.fetch_add(1, std::memory_order_relaxed);
-      finish_request_error(shared, id, job->tenant,
-                           {ErrorCode::Overloaded, e.what()});
-      return;
-    } catch (const Error&) {
-      // The pool refused admission (teardown raced this request).
-      finish_request_error(shared, id, job->tenant,
-                           {ErrorCode::ShuttingDown, "server is shutting down"});
-      return;
-    }
-    {
-      std::lock_guard<std::mutex> lk(shared->mu);
-      auto it = shared->pending.find(id);
-      if (it != shared->pending.end()) it->second = dag;
-    }
-    update_queue_gauges();
-  }
-
-  // Factor DAG finished: reply with R, or chain the Q-formation DAG.
-  void finish_qr_factor(const std::shared_ptr<SessionShared>& shared,
-                        std::int32_t id, const std::shared_ptr<QRFactors>& f,
-                        const std::shared_ptr<QRJob>& job, double t0,
-                        bool cancelled) {
-    if (cancelled) {
-      finish_request(shared, id, job->tenant, /*cancelled=*/true, {});
-      return;
-    }
-    if (!job->want_q) {
-      QROutcome res;
-      res.r = extract_r(*f);
-      std::vector<std::uint8_t> payload;
-      encode_result(res, payload);
-      observe_latency("qr", t0);
-      finish_request(shared, id, job->tenant, /*cancelled=*/false,
-                     std::move(payload));
-      return;
-    }
-    // Q formation as a second DAG on the same pool (build_q, parallel): C
-    // starts as the identity pattern, the factor kernels apply reversed.
-    auto c = std::make_shared<TiledMatrix>(
-        f->a().padded_m(), std::min(f->a().padded_m(), f->a().padded_n()),
-        f->b());
-    for (int d = 0; d < std::min(c->padded_m(), c->padded_n()); ++d)
-      c->set(d, d, 1.0);
-    auto ops = std::make_shared<const KernelList>(
-        q_apply_ops(*f, Trans::No, c->nt(), /*economy=*/true));
-    auto graph = std::make_shared<const TaskGraph>(
-        TaskGraph::apply_graph(*ops, f->mt(), c->nt()));
-    DagSubmitOptions sopts;
-    sopts.priority = job->priority;
-    // The Q DAG is the tail of an already-admitted request: it must drain
-    // even when the pool is at max_active_dags refusing new submits.
-    sopts.bypass_admission_limit = true;
-    sopts.on_done = [this, shared, id, f, job, c, t0](DagId, bool q_cancelled) {
-      if (q_cancelled) {
-        finish_request(shared, id, job->tenant, /*cancelled=*/true, {});
-        return;
-      }
-      QROutcome res;
-      res.r = extract_r(*f);
-      res.has_q = true;
-      const Matrix padded = c->to_padded_matrix();
-      const int qm = f->m();
-      const int qn = std::min(f->m(), f->n());
-      res.q = materialize(padded.block(0, 0, qm, qn));
-      std::vector<std::uint8_t> payload;
-      encode_result(res, payload);
-      observe_latency("qr", t0);
-      finish_request(shared, id, job->tenant, /*cancelled=*/false,
-                     std::move(payload));
-    };
-    DagId dag{0};
-    try {
-      dag = pool->submit(
-          graph, f->b(),
-          [f, c, ops](std::int32_t idx, TileWorkspace& ws) {
-            execute_apply_kernel((*ops)[static_cast<std::size_t>(idx)], *f,
-                                 Trans::No, *c, ws);
-          },
-          std::move(sopts));
-    } catch (const Error&) {
-      // This chained submit runs inside the factor DAG's on_done, on a pool
-      // worker: if the pool is being torn down, submit() throws — answer
-      // with a typed error instead of letting it escape the worker thread
-      // (which would std::terminate the whole server).
-      finish_request_error(shared, id, job->tenant,
-                           {ErrorCode::ShuttingDown, "server is shutting down"});
-      return;
-    }
-    // Re-point the pending entry so Cancel aims at the live DAG.
-    std::lock_guard<std::mutex> lk(shared->mu);
-    auto it = shared->pending.find(id);
-    if (it != shared->pending.end()) it->second = dag;
-  }
-
-  void finish_request(const std::shared_ptr<SessionShared>& shared,
-                      std::int32_t id, std::int64_t tenant, bool cancelled,
-                      std::vector<std::uint8_t> result_payload) {
-    if (cancelled) {
-      finish_request_error(shared, id, tenant,
-                           {ErrorCode::Cancelled, "request was cancelled"});
-      return;
-    }
-    tenant_release(tenant);
-    {
-      std::lock_guard<std::mutex> lk(shared->mu);
-      shared->pending.erase(id);
-    }
-    requests_completed.fetch_add(1, std::memory_order_relaxed);
-    shared->push(Tag::Result, id, std::move(result_payload));
-    update_queue_gauges();
-  }
-
-  // Resolves a pending request to a typed ErrorReply (Cancelled,
-  // ShuttingDown, ...) from a completion callback or a failed admission.
-  void finish_request_error(const std::shared_ptr<SessionShared>& shared,
-                            std::int32_t id, std::int64_t tenant,
-                            const ErrorInfo& e) {
-    tenant_release(tenant);
-    {
-      std::lock_guard<std::mutex> lk(shared->mu);
-      shared->pending.erase(id);
-    }
-    if (e.code == ErrorCode::Cancelled)
-      requests_cancelled.fetch_add(1, std::memory_order_relaxed);
-    else
-      requests_rejected.fetch_add(1, std::memory_order_relaxed);
-    std::vector<std::uint8_t> payload;
-    encode_error(e, payload);
-    shared->push(Tag::ErrorReply, id, std::move(payload));
-    update_queue_gauges();
+    BatchJob one;
+    one.tenant = job.tenant;
+    one.b = job.b;
+    one.ib = job.ib;
+    one.tree = job.tree;
+    one.priority = job.priority;
+    one.problems.push_back(std::move(job.a));
+    submit_factor(s, id, Tag::Result, one, job.want_q);
   }
 
   void handle_submit_batch(Session* s, std::int32_t id,
                            const std::vector<std::uint8_t>& payload) {
-    auto job = std::make_shared<BatchJob>();
-    if (auto e = decode_submit_batch(payload, opts.limits, job.get())) {
+    BatchJob job;
+    if (auto e = decode_submit_batch(payload, opts.limits, &job)) {
       reject(s, id, *e);
       return;
     }
+    submit_factor(s, id, Tag::BatchResult, job, /*want_q=*/false);
+  }
+
+  // An admitted factor request, shared by its DAG's completion callbacks.
+  struct FactorRequest {
+    std::shared_ptr<SessionShared> shared;
+    std::int32_t id = 0;
+    Tag reply = Tag::Result;  // BatchResult for a SubmitBatch
+    std::int64_t tenant = 0;
+    int priority = 0;
+    bool want_q = false;
+    double t0 = 0.0;
+    std::shared_ptr<FusedBatch> fused;
+  };
+
+  // Admits a decoded request and submits its ONE fused factor DAG (one
+  // scheduler pass for the whole batch; a single problem's graph is the
+  // plain TaskGraph of its kernels, since its row offset is 0).
+  void submit_factor(Session* s, std::int32_t id, Tag reply,
+                     const BatchJob& job, bool want_q) {
     if (admission_closed(s, id)) return;
-    if (!tenant_admit(job->tenant)) {
+    if (!tenant_admit(job.tenant)) {
       requests_overloaded.fetch_add(1, std::memory_order_relaxed);
       reject(s, id,
              {ErrorCode::Overloaded,
-              "tenant " + std::to_string(job->tenant) + " is at " +
+              "tenant " + std::to_string(job.tenant) + " is at " +
                   std::to_string(opts.limits.max_inflight_per_tenant) +
                   " in-flight requests"});
       return;
     }
-    note_tenant(job->tenant);
+    note_tenant(job.tenant);
 
-    // ONE fused DAG, ONE scheduler pass for the whole batch.
-    auto fused = std::make_shared<FusedBatch>(job->problems, job->b, job->tree,
-                                              job->ib);
-    const double t0 = monotonic_seconds();
-    auto shared = s->shared;
+    auto req = std::make_shared<FactorRequest>();
+    req->shared = s->shared;
+    req->id = id;
+    req->reply = reply;
+    req->tenant = job.tenant;
+    req->priority = job.priority;
+    req->want_q = want_q;
+    req->fused =
+        std::make_shared<FusedBatch>(job.problems, job.b, job.tree, job.ib);
+    req->t0 = monotonic_seconds();
     DagSubmitOptions sopts;
-    sopts.priority = job->priority;
-    sopts.on_done = [this, shared, id, fused, job, t0](DagId, bool cancelled) {
-      if (cancelled) {
-        finish_request(shared, id, job->tenant, /*cancelled=*/true, {});
-        return;
-      }
-      std::vector<Matrix> rs;
-      rs.reserve(fused->size());
-      for (std::size_t p = 0; p < fused->size(); ++p) rs.push_back(fused->r(p));
-      std::vector<std::uint8_t> out;
-      encode_batch_result(rs, out);
-      observe_latency("batch", t0);
-      batch_problems.fetch_add(static_cast<long long>(fused->size()),
-                               std::memory_order_relaxed);
-      tenant_release(job->tenant);
-      {
-        std::lock_guard<std::mutex> lk(shared->mu);
-        shared->pending.erase(id);
-      }
-      requests_completed.fetch_add(1, std::memory_order_relaxed);
-      shared->push(Tag::BatchResult, id, std::move(out));
-      update_queue_gauges();
+    sopts.priority = job.priority;
+    sopts.on_done = [this, req](DagId, bool cancelled) {
+      finish_factor(req, nullptr, cancelled);
     };
+    // Register before submit: on_done can fire (and erase the entry) before
+    // submit() even returns. A placeholder DagId 0 is never live, so a
+    // Cancel racing this window is a harmless no-op. The accepted counters
+    // also bump pre-submit so completion can never outrun them in a Status
+    // snapshot; a refused submit takes them back.
     {
-      std::lock_guard<std::mutex> lk(shared->mu);
-      shared->pending.emplace(id, DagId{0});
+      std::lock_guard<std::mutex> lk(req->shared->mu);
+      req->shared->pending.emplace(id, DagId{0});
     }
-    // A batch is one request (and one DAG): it counts in both ledgers, and
-    // pre-submit so completion can never outrun acceptance in a snapshot.
+    const bool batch = reply == Tag::BatchResult;
     requests_accepted.fetch_add(1, std::memory_order_relaxed);
-    batches_accepted.fetch_add(1, std::memory_order_relaxed);
+    if (batch) batches_accepted.fetch_add(1, std::memory_order_relaxed);
+    std::optional<ErrorInfo> refused;
     DagId dag{0};
     try {
       dag = pool->submit(
-          fused->graph(), fused->b(),
-          [fused](std::int32_t idx, TileWorkspace& ws) {
+          req->fused->graph(), req->fused->b(),
+          [fused = req->fused](std::int32_t idx, TileWorkspace& ws) {
             fused->execute(idx, ws);
           },
           std::move(sopts));
     } catch (const PoolOverloaded& e) {
       requests_overloaded.fetch_add(1, std::memory_order_relaxed);
-      finish_request_error(shared, id, job->tenant,
-                           {ErrorCode::Overloaded, e.what()});
-      return;
+      refused = ErrorInfo{ErrorCode::Overloaded, e.what()};
     } catch (const Error&) {
-      finish_request_error(shared, id, job->tenant,
-                           {ErrorCode::ShuttingDown, "server is shutting down"});
+      // The pool refused admission (teardown raced this request).
+      refused = ErrorInfo{ErrorCode::ShuttingDown, "server is shutting down"};
+    }
+    if (refused) {
+      requests_accepted.fetch_sub(1, std::memory_order_relaxed);
+      if (batch) batches_accepted.fetch_sub(1, std::memory_order_relaxed);
+      finish_request_error(*req, *refused);
       return;
     }
-    {
-      std::lock_guard<std::mutex> lk(shared->mu);
-      auto it = shared->pending.find(id);
-      if (it != shared->pending.end()) it->second = dag;
-    }
+    repoint_pending(*req, dag);
     update_queue_gauges();
+  }
+
+  // Completion of a request's factor DAG (q == nullptr) or of its chained
+  // Q-formation DAG: replies with R (and Q) or every R of a batch, or, for
+  // want_q, chains Q formation as a second DAG on the same pool.
+  void finish_factor(const std::shared_ptr<FactorRequest>& req,
+                     const std::shared_ptr<TiledMatrix>& q, bool cancelled) {
+    if (cancelled) {
+      finish_request_error(*req,
+                           {ErrorCode::Cancelled, "request was cancelled"});
+      return;
+    }
+    if (req->want_q && q == nullptr) {
+      chain_q_formation(req);
+      return;
+    }
+    const FusedBatch& fused = *req->fused;
+    std::vector<std::uint8_t> payload;
+    if (req->reply == Tag::BatchResult) {
+      std::vector<Matrix> rs;
+      rs.reserve(fused.size());
+      for (std::size_t p = 0; p < fused.size(); ++p) rs.push_back(fused.r(p));
+      encode_batch_result(rs, payload);
+      observe_latency("batch", req->t0);
+      batch_problems.fetch_add(static_cast<long long>(fused.size()),
+                               std::memory_order_relaxed);
+    } else {
+      QROutcome res;
+      res.r = fused.r(0);
+      if (q != nullptr) {
+        const QRFactors& f = fused.factors(0);
+        res.has_q = true;
+        res.q = materialize(q->to_padded_matrix().block(
+            0, 0, f.m(), std::min(f.m(), f.n())));
+      }
+      encode_result(res, payload);
+      observe_latency("qr", req->t0);
+    }
+    finish_request(*req, req->reply, std::move(payload));
+  }
+
+  // Q formation (runtime/executor.hpp q_formation) as a second DAG on the
+  // shared pool, fed by the finished factors.
+  void chain_q_formation(const std::shared_ptr<FactorRequest>& req) {
+    QFormation qf = q_formation(std::shared_ptr<const QRFactors>(
+        req->fused, &req->fused->factors(0)));
+    DagSubmitOptions sopts;
+    sopts.priority = req->priority;
+    // The Q DAG is the tail of an already-admitted request: it must drain
+    // even when the pool is at max_active_dags refusing new submits.
+    sopts.bypass_admission_limit = true;
+    sopts.on_done = [this, req, q = qf.q](DagId, bool cancelled) {
+      finish_factor(req, q, cancelled);
+    };
+    DagId dag{0};
+    try {
+      dag = pool->submit(qf.graph, req->fused->b(), std::move(qf.execute),
+                         std::move(sopts));
+    } catch (const Error&) {
+      // This chained submit runs inside the factor DAG's on_done, on a pool
+      // worker: if the pool is being torn down, submit() throws — answer
+      // with a typed error instead of letting it escape the worker thread
+      // (which would std::terminate the whole server).
+      finish_request_error(
+          *req, {ErrorCode::ShuttingDown, "server is shutting down"});
+      return;
+    }
+    repoint_pending(*req, dag);
+  }
+
+  // Re-points the request's pending entry so Cancel aims at the live DAG.
+  void repoint_pending(const FactorRequest& req, DagId dag) {
+    std::lock_guard<std::mutex> lk(req.shared->mu);
+    auto it = req.shared->pending.find(req.id);
+    if (it != req.shared->pending.end()) it->second = dag;
+  }
+
+  // Resolves a pending request with its reply frame: Result or
+  // BatchResult, or the ErrorReply of finish_request_error.
+  void finish_request(const FactorRequest& req, Tag reply,
+                      std::vector<std::uint8_t> payload) {
+    tenant_release(req.tenant);
+    {
+      std::lock_guard<std::mutex> lk(req.shared->mu);
+      req.shared->pending.erase(req.id);
+    }
+    if (reply != Tag::ErrorReply)
+      requests_completed.fetch_add(1, std::memory_order_relaxed);
+    req.shared->push(reply, req.id, std::move(payload));
+    update_queue_gauges();
+  }
+
+  // Resolves a pending request to a typed ErrorReply (Cancelled,
+  // ShuttingDown, ...) from a completion callback or a refused submit.
+  void finish_request_error(const FactorRequest& req, const ErrorInfo& e) {
+    (e.code == ErrorCode::Cancelled ? requests_cancelled : requests_rejected)
+        .fetch_add(1, std::memory_order_relaxed);
+    std::vector<std::uint8_t> payload;
+    encode_error(e, payload);
+    finish_request(req, Tag::ErrorReply, std::move(payload));
   }
 
   template <class Streams>

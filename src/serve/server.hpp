@@ -6,12 +6,15 @@
 // connection died, so fds and thread handles do not accumulate); per
 // connection a reader thread (frame parse -> validate -> submit to the
 // pool) and a writer thread (drains an outbox of encoded responses).
-// Factorization DAGs never run on connection threads — every SubmitQR,
-// fused batch and Q formation is a DAG submitted to the shared DagPool,
-// whose completion callback encodes the response and enqueues it on the
-// owning connection's outbox. Requests from different connections and
-// tenants therefore interleave at task granularity, and a large request
-// does not block a small one behind it.
+// Factorization DAGs never run on connection threads. A SubmitQR is a
+// one-problem fused batch (serve/batch.hpp), so SubmitQR and SubmitBatch
+// share one admission path and each becomes one DAG on the shared
+// DagPool; a want_q request then chains the runtime's Q-formation DAG
+// (q_formation, runtime/executor.hpp) on the same pool. The last DAG's
+// completion callback encodes the response and enqueues it on the owning
+// connection's outbox. Requests from different connections and tenants
+// therefore interleave at task granularity, and a large request does not
+// block a small one behind it.
 //
 // One deliberate exception: streaming TSQR reductions (StreamAppend) run
 // inline on the connection's reader thread — stream state is

@@ -69,6 +69,44 @@ TEST(QrApi, DefaultOptionsHeuristics) {
   EXPECT_LE(ts.ib, ts.b);
 }
 
+TEST(QrApi, DefaultsFollowTheTileSizeUsed) {
+  Rng rng(11);
+  // ib = 0 is b/4 of the tile size actually used, with or without the
+  // automatic tree.
+  QROptions fixed_tree;
+  fixed_tree.b = 10;
+  fixed_tree.auto_tree = false;
+  EXPECT_EQ(qr(random_gaussian(80, 40, rng), fixed_tree).ib, 2);
+  QROptions b64;
+  b64.b = 64;
+  EXPECT_EQ(qr(random_gaussian(100, 100, rng), b64).ib, 16);
+  QROptions b200;
+  b200.b = 200;
+  EXPECT_EQ(qr(random_gaussian(2000, 40, rng), b200).ib, 50);
+
+  // The automatic tree is chosen for the tile rows of that b: 10 tile rows
+  // on 8 threads make 5 clusters of 2 rows, too few for domains.
+  QROptions b100;
+  b100.b = 100;
+  b100.threads = 8;
+  const QRResult tall = qr(random_gaussian(1000, 100, rng), b100);
+  EXPECT_EQ(tall.tree.p, 5);
+  EXPECT_EQ(tall.tree.a, 1);
+
+  // b = 0 keeps the shape's defaults exactly.
+  QROptions shape;
+  shape.threads = 4;
+  const QROptions d = default_qr_options(300, 120, 4);
+  const QRResult res = qr(random_gaussian(300, 120, rng), shape);
+  EXPECT_EQ(res.b, d.b);
+  EXPECT_EQ(res.ib, d.ib);
+  EXPECT_EQ(res.tree.p, d.tree.p);
+  EXPECT_EQ(res.tree.a, d.tree.a);
+  EXPECT_EQ(res.tree.low, d.tree.low);
+  EXPECT_EQ(res.tree.high, d.tree.high);
+  EXPECT_EQ(res.tree.domino, d.tree.domino);
+}
+
 TEST(QrApi, SolveMatchesReference) {
   Rng rng(7);
   const int m = 150, n = 20;

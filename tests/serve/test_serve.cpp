@@ -9,10 +9,13 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "common/stopwatch.hpp"
 #include "core/factorization.hpp"
 #include "core/incremental_tsqr.hpp"
 #include "linalg/norms.hpp"
 #include "linalg/random_matrix.hpp"
+#include "net/message.hpp"
+#include "net/socket.hpp"
 #include "serve/client.hpp"
 
 namespace hqr::serve {
@@ -426,7 +429,86 @@ TEST(Serve, PoolLimitRejectsAndQChainBypasses) {
   EXPECT_LT(orthogonality_error(res.q.view()), 1e-12);
   EXPECT_LT(factorization_residual(a.view(), res.q.view(), res.r.view()),
             1e-12);
+  // The refused submit is not counted as accepted.
+  ServerStatus st = server.status();
+  EXPECT_EQ(st.requests_accepted, 2);
+  EXPECT_EQ(st.requests_overloaded, 1);
   server.stop();
+}
+
+TEST(Serve, BatchObeysTheSameAdmissionLimits) {
+  Rng rng(79);
+  const Matrix big = random_gaussian(512, 512, rng);
+  std::vector<Matrix> problems;
+  for (int p = 0; p < 4; ++p) problems.push_back(random_gaussian(12, 8, rng));
+
+  for (const bool pool_limit : {true, false}) {
+    SCOPED_TRACE(pool_limit ? "max_active_dags = 1"
+                            : "max_inflight_per_tenant = 1");
+    ServerOptions sopts;
+    sopts.threads = 1;
+    if (pool_limit)
+      sopts.limits.max_active_dags = 1;
+    else
+      sopts.limits.max_inflight_per_tenant = 1;
+    Server server(sopts);
+    Client client(client_opts(server));
+
+    // One slow request holds the only slot (>100ms of kernel work on one
+    // worker) while the batch, decoded microseconds later, asks for it.
+    std::int32_t slow = client.submit_qr_async(big, 16);
+    try {
+      (void)client.submit_batch(problems, 4);
+      FAIL() << "a batch past the admission limit must be refused";
+    } catch (const ServeError& e) {
+      EXPECT_EQ(e.code(), ErrorCode::Overloaded);
+    }
+    (void)client.wait_result(slow);
+
+    // Once the slot frees, the same batch is accepted.
+    std::vector<Matrix> rs = client.submit_batch(problems, 4);
+    ASSERT_EQ(rs.size(), problems.size());
+    for (std::size_t p = 0; p < problems.size(); ++p)
+      EXPECT_EQ(max_abs_diff(sequential_r(problems[p], 4, TreeChoice::FlatTs)
+                                 .view(),
+                             rs[p].view()),
+                0.0)
+          << "problem " << p;
+    ServerStatus st = server.status();
+    EXPECT_EQ(st.requests_accepted, 2);
+    EXPECT_EQ(st.batches_accepted, 1);
+    EXPECT_EQ(st.batch_problems, 4);
+    EXPECT_EQ(st.requests_overloaded, 1);
+    server.stop();
+  }
+}
+
+TEST(Serve, ClientRejectsAReplyPastTheFrameBound) {
+  // A fake server answers the first request with a Result header that
+  // declares 2^40 payload bytes (more than any host here could commit),
+  // then hangs up.
+  std::uint16_t port = 0;
+  net::Fd listener = net::tcp_listen("127.0.0.1", &port);
+  std::thread fake([&] {
+    net::Fd fd = net::tcp_accept(listener.get(), monotonic_seconds() + 30.0);
+    const double deadline = monotonic_seconds() + 30.0;
+    const net::FrameHeader req = read_frame_header(fd.get(), deadline);
+    read_frame_payload(fd.get(), req.bytes, deadline, nullptr);
+    net::FrameHeader h;
+    h.tag = static_cast<std::uint32_t>(net::Tag::Result);
+    h.src = 0;
+    h.id = req.id;
+    h.bytes = 1ull << 40;
+    std::uint8_t hb[net::kFrameHeaderBytes];
+    net::encode_header(h, hb);
+    net::write_all(fd.get(), hb, sizeof(hb), deadline);
+  });
+  ClientOptions copts;
+  copts.port = port;
+  Client client(copts);
+  Rng rng(83);
+  EXPECT_THROW((void)client.submit_qr(random_gaussian(8, 8, rng), 4), Error);
+  fake.join();
 }
 
 }  // namespace
