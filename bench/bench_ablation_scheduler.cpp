@@ -1,7 +1,8 @@
-// Ablation: scheduler priority policy and network-model components in the
-// cluster simulator (DESIGN.md's design-choice ablations). Shows how much of
-// HQR's simulated performance comes from critical-path priorities, NIC
-// serialization and the communication-thread CPU model.
+// Ablation: network-model components in the cluster simulator (DESIGN.md's
+// design-choice ablations). Shows how much of HQR's and [BBD+10]'s
+// simulated performance comes from NIC serialization and the
+// communication-thread CPU model, under the simulator's one scheduling
+// policy (critical-path priorities).
 #include <iostream>
 
 #include "bench_util.hpp"
@@ -15,8 +16,8 @@ int main(int argc, char** argv) {
   const int b = static_cast<int>(cli.integer("b"));
   const int p = 15, q = 4;
 
-  TextTable table({"case", "algorithm", "priority", "nic", "comm-cpu",
-                   "GFlop/s", "% peak"});
+  TextTable table(
+      {"case", "algorithm", "nic", "comm-cpu", "GFlop/s", "% peak"});
   struct Case {
     const char* name;
     long long m, n;
@@ -29,30 +30,26 @@ int main(int argc, char** argv) {
     const AlgorithmRun runs[] = {make_hqr_run(mt, nt, cfg, q),
                                  make_bbd10_run(mt, nt, p, q)};
     for (const auto& run : runs) {
-      for (bool priority : {true, false}) {
-        for (bool nic : {true, false}) {
-          for (bool comm_cpu : {true, false}) {
-            SimOptions opts;
-            opts.platform = Platform::edel();
-            opts.b = b;
-            opts.priority_scheduling = priority;
-            opts.nic_contention = nic;
-            opts.comm_thread_steal = comm_cpu;
-            SimResult r = simulate_algorithm(run, c.m, c.n, opts);
-            table.row()
-                .add(c.name)
-                .add(run.name)
-                .add(priority ? "cp" : "fifo")
-                .add(nic ? "on" : "off")
-                .add(comm_cpu ? "on" : "off")
-                .add(r.gflops, 5)
-                .add(100.0 * r.peak_fraction, 3);
-          }
+      for (bool nic : {true, false}) {
+        for (bool comm_cpu : {true, false}) {
+          SimOptions opts;
+          opts.platform = Platform::edel();
+          opts.b = b;
+          opts.nic_contention = nic;
+          opts.comm_thread_steal = comm_cpu;
+          SimResult r = simulate_algorithm(run, c.m, c.n, opts);
+          table.row()
+              .add(c.name)
+              .add(run.name)
+              .add(nic ? "on" : "off")
+              .add(comm_cpu ? "on" : "off")
+              .add(r.gflops, 5)
+              .add(100.0 * r.peak_fraction, 3);
         }
       }
     }
   }
-  bench::emit(table, cli, "Ablation: scheduler and network model");
+  bench::emit(table, cli, "Ablation: network model");
 
   // Observability pass on a scaled-down tall-skinny HQR run (the full-size
   // sweeps above would produce multi-hundred-MB traces).

@@ -1,10 +1,9 @@
 // Real-execution benchmark of the shared-memory runtime ("DAGuE-lite"):
 // factors an actual matrix with the from-scratch kernels across thread
-// counts and scheduler policies. On a many-core host this shows the
-// parallel scaling of the tile DAG; the policy columns are the
-// scheduler-design ablation (priority vs FIFO, data-reuse on/off). Pass
-// --json=PATH for machine-readable results with the per-run scheduler
-// counters (data-reuse keeps, queue pops).
+// counts. On a many-core host this shows the parallel scaling of the tile
+// DAG under the pool's one scheduling policy (critical-path priorities
+// plus the data-reuse keep). Pass --json=PATH for machine-readable results
+// with the per-run scheduler counters (data-reuse keeps, queue pops).
 #include <fstream>
 #include <iostream>
 #include <vector>
@@ -24,8 +23,6 @@ namespace {
 
 struct RunRow {
   int threads;
-  bool priority;
-  bool reuse;
   double seconds;
   double gflops;
   RunStats stats;
@@ -35,14 +32,12 @@ void write_json(const std::string& path, int m, int n, int b, int ib,
                 const std::vector<RunRow>& rows) {
   std::ofstream out(path);
   HQR_CHECK(out.good(), "cannot write " << path);
-  out << "{\n  \"schema\": \"hqr-bench-runtime-v2\",\n"
+  out << "{\n  \"schema\": \"hqr-bench-runtime-v3\",\n"
       << "  \"m\": " << m << ", \"n\": " << n << ", \"b\": " << b
       << ", \"ib\": " << ib << ",\n  \"results\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const RunRow& r = rows[i];
-    out << "    {\"threads\": " << r.threads << ", \"policy\": \""
-        << (r.priority ? "cp-priority" : "fifo") << "\", \"data_reuse\": "
-        << (r.reuse ? "true" : "false") << ", \"seconds\": " << r.seconds
+    out << "    {\"threads\": " << r.threads << ", \"seconds\": " << r.seconds
         << ", \"gflops\": " << r.gflops << ", \"tasks\": "
         << r.stats.total_tasks << ", \"reuse_hits\": " << r.stats.reuse_hits
         << ", \"queue_pops\": " << r.stats.queue_pops << "}"
@@ -75,40 +70,32 @@ int main(int argc, char** argv) {
   const double gflop = qr_useful_flops(m, n) / 1e9;
 
   std::vector<RunRow> rows;
-  TextTable table({"threads", "policy", "data-reuse", "seconds", "GFlop/s",
-                   "tasks", "reuse", "queue"});
+  TextTable table(
+      {"threads", "seconds", "GFlop/s", "tasks", "reuse", "queue"});
   for (int threads : {1, 2, 4, 8}) {
-    for (bool priority : {true, false}) {
-      for (bool reuse : {true, false}) {
-        if (!priority && reuse) continue;  // reuse needs priorities
-        ExecutorOptions opts{threads, priority, reuse, ib};
-        RunStats stats;
-        Stopwatch sw;
-        QRFactors f = qr_factorize_parallel(a, b, list, opts, &stats);
-        const double secs = sw.seconds();
-        (void)f;
-        table.row()
-            .add(threads)
-            .add(priority ? "cp-priority" : "fifo")
-            .add(reuse ? "on" : "off")
-            .add(secs, 4)
-            .add(gflop / secs, 4)
-            .add(stats.total_tasks)
-            .add(stats.reuse_hits)
-            .add(stats.queue_pops);
-        rows.push_back({threads, priority, reuse, secs, gflop / secs, stats});
-      }
-    }
+    const ExecutorOptions opts{.threads = threads, .ib = ib};
+    RunStats stats;
+    Stopwatch sw;
+    QRFactors f = qr_factorize_parallel(a, b, list, opts, &stats);
+    const double secs = sw.seconds();
+    (void)f;
+    table.row()
+        .add(threads)
+        .add(secs, 4)
+        .add(gflop / secs, 4)
+        .add(stats.total_tasks)
+        .add(stats.reuse_hits)
+        .add(stats.queue_pops);
+    rows.push_back({threads, secs, gflop / secs, stats});
   }
   bench::emit(table, cli, "Runtime scaling (real kernels, this host)");
   if (!cli.str("json").empty()) write_json(cli.str("json"), m, n, b, ib, rows);
 
-  // Observed rerun of the strongest configuration when --trace/--metrics/
-  // --report were given (the sweep above stays unobserved so its timings
-  // are clean).
+  // Observed 8-thread rerun when --trace/--metrics/--report were given (the
+  // sweep above stays unobserved so its timings are clean).
   obs::ObsSession obs(cli);
   if (obs.any_enabled() || obs.report_requested()) {
-    ExecutorOptions opts{8, true, true, ib};
+    ExecutorOptions opts{.threads = 8, .ib = ib};
     opts.trace = obs.trace();
     opts.metrics = obs.metrics();
     TiledMatrix tiled = TiledMatrix::from_matrix(a, b);
@@ -116,7 +103,7 @@ int main(int argc, char** argv) {
     TaskGraph graph(kernels, probe.mt(), probe.nt());
     QRFactors f(std::move(tiled), std::move(kernels), opts.ib);
     RunStats stats = execute_parallel(f, graph, opts);
-    std::cout << "\nobserved rerun (8 threads, cp-priority, data-reuse): "
+    std::cout << "\nobserved rerun (8 threads): "
               << stats.reuse_hits << " data-reuse keeps, "
               << stats.queue_pops << " queue pops\n";
     obs.finish(&graph);

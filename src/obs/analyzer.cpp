@@ -88,7 +88,6 @@ AnalysisReport analyze_trace(const TraceRecorder& trace,
     LaneStat& ls = lanes[key];
     ls.lane = e.lane;
     ls.sub = e.sub;
-    ls.accel = ls.accel || e.on_accel;
     ++ls.tasks;
     ls.busy_seconds += e.end - e.start;
     auto [it, fresh] = lane_cursor.try_emplace(key, 0.0);
@@ -233,8 +232,7 @@ void AnalysisReport::write_json(std::ostream& os) const {
   for (std::size_t i = 0; i < lane_stats.size(); ++i) {
     const LaneStat& s = lane_stats[i];
     os << (i ? "," : "") << "\n    {\"lane\": " << s.lane
-       << ", \"sub\": " << s.sub << ", \"accel\": "
-       << (s.accel ? "true" : "false") << ", \"tasks\": " << s.tasks
+       << ", \"sub\": " << s.sub << ", \"tasks\": " << s.tasks
        << ", \"busy_seconds\": " << s.busy_seconds
        << ", \"utilization\": " << s.utilization << '}';
   }

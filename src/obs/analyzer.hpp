@@ -24,7 +24,6 @@ struct KernelStat {
 struct LaneStat {
   std::int32_t lane = 0;
   std::int32_t sub = 0;
-  bool accel = false;
   long long tasks = 0;
   double busy_seconds = 0.0;
   double utilization = 0.0;  // busy / makespan

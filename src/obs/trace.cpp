@@ -1,6 +1,7 @@
 #include "obs/trace.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <fstream>
 #include <map>
 #include <ostream>
@@ -25,6 +26,8 @@ void close_checked(std::ofstream& f, const std::string& path) {
   f.flush();
   HQR_CHECK(f.good(), "write to " << path << " failed");
 }
+
+constexpr const char* kCsvHeader = "task,lane,sub,kernel,start,end,row,piv,k,j";
 
 void json_escape(std::ostream& os, const std::string& s) {
   for (char c : s) {
@@ -127,7 +130,7 @@ std::vector<TraceEvent> TraceRecorder::sorted_events() const {
 
 void TraceRecorder::save_csv(const std::string& path) const {
   std::ofstream f = open_checked(path);
-  f << "task,lane,sub,kernel,start,end,accel,row,piv,k,j\n";
+  f << kCsvHeader << '\n';
   f.precision(17);
   f << "#lanes," << lanes() << '\n';
   f << "#clock_offset," << clock_offset_ << '\n';
@@ -139,8 +142,7 @@ void TraceRecorder::save_csv(const std::string& path) const {
   for (const TraceEvent& e : sorted_events()) {
     f << e.task << ',' << e.lane << ',' << e.sub << ','
       << kernel_name(e.type) << ',' << e.start << ',' << e.end << ','
-      << (e.on_accel ? 1 : 0) << ',' << e.row << ',' << e.piv << ',' << e.k
-      << ',' << e.j << '\n';
+      << e.row << ',' << e.piv << ',' << e.k << ',' << e.j << '\n';
   }
   close_checked(f, path);
 }
@@ -156,7 +158,7 @@ void TraceRecorder::write_chrome_json(std::ostream& os) const {
   };
   const std::vector<TraceEvent> events = sorted_events();
   // Metadata: name each (lane, sub) pair so Perfetto shows "node N" process
-  // rows with "core C" / "accel C" thread tracks (runtime: "worker N").
+  // rows with "core C" thread tracks (runtime: "worker N").
   std::set<std::int32_t> seen_lanes;
   std::set<std::pair<std::int32_t, std::int32_t>> seen_subs;
   for (const TraceEvent& e : events) {
@@ -174,7 +176,7 @@ void TraceRecorder::write_chrome_json(std::ostream& os) const {
       sep();
       os << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":" << e.lane
          << ",\"tid\":" << e.sub << ",\"args\":{\"name\":\"";
-      json_escape(os, e.on_accel ? "accel" : sub_label_);
+      json_escape(os, sub_label_);
       os << ' ' << e.sub << "\"}}";
     }
   }
@@ -187,7 +189,7 @@ void TraceRecorder::write_chrome_json(std::ostream& os) const {
        << ",\"pid\":" << e.lane << ",\"tid\":" << e.sub
        << ",\"args\":{\"task\":" << e.task << ",\"row\":" << e.row
        << ",\"piv\":" << e.piv << ",\"k\":" << e.k << ",\"j\":" << e.j
-       << ",\"accel\":" << (e.on_accel ? "true" : "false") << "}}";
+       << "}}";
   }
   // Flow arrows: anchor the "s" step just inside the producer task's slice
   // and the "f" step (binding point "enclosing") just inside the consumer's,
@@ -243,21 +245,59 @@ void TraceRecorder::save(const std::string& path) const {
 
 namespace {
 
-KernelType kernel_type_from_name(const std::string& name) {
+// One line of the CSV being loaded, for error messages that name the file
+// and the offending line.
+struct CsvLine {
+  const std::string& path;
+  const std::string& text;
+};
+
+std::ostream& operator<<(std::ostream& os, const CsvLine& l) {
+  return os << l.path << ": '" << l.text << "'";
+}
+
+// Splits the line into exactly `n` comma-separated fields.
+std::vector<std::string> split_fields(const CsvLine& l, std::size_t n) {
+  const std::size_t commas = static_cast<std::size_t>(
+      std::count(l.text.begin(), l.text.end(), ','));
+  HQR_CHECK(commas + 1 == n, "bad trace CSV " << l << " (" << commas + 1
+                                              << " fields, want " << n << ")");
+  std::vector<std::string> field;
+  std::istringstream ls(l.text);
+  for (std::string f; std::getline(ls, f, ',');) field.push_back(f);
+  field.resize(n);  // getline yields nothing for an empty last field
+  return field;
+}
+
+// Parses the whole field as a T; an empty, partly numeric or out-of-range
+// field is an error.
+template <typename T>
+T parse(const CsvLine& l, const std::string& f) {
+  T v{};
+  const auto [end, ec] = std::from_chars(f.data(), f.data() + f.size(), v);
+  HQR_CHECK(!f.empty() && ec == std::errc() && end == f.data() + f.size(),
+            "bad trace CSV " << l << " (bad field '" << f << "')");
+  return v;
+}
+
+// A lane id or lane count from the file, bounded by `max` before anything
+// is sized by it.
+std::int32_t parse_lane(const CsvLine& l, const std::string& f,
+                        std::int32_t max) {
+  const std::int32_t v = parse<std::int32_t>(l, f);
+  HQR_CHECK(v >= 0 && v <= max,
+            "bad trace CSV " << l << " (lane " << v << " outside [0, " << max
+                             << "])");
+  return v;
+}
+
+KernelType kernel_type_from_name(const CsvLine& l, const std::string& name) {
   for (int t = 0; t < kKernelTypeCount; ++t) {
     const KernelType k = static_cast<KernelType>(t);
     if (kernel_name(k) == name) return k;
   }
-  HQR_CHECK(false, "unknown kernel name '" << name << "' in trace CSV");
-}
-
-// Splits one CSV line into exactly `n` fields.
-void split_fields(const std::string& line, const std::string& path,
-                  std::string* field, int n) {
-  std::istringstream ls(line);
-  for (int i = 0; i < n; ++i)
-    HQR_CHECK(std::getline(ls, field[i], ','),
-              "short row in " << path << ": '" << line << "'");
+  HQR_CHECK(false,
+            "bad trace CSV " << l << " (unknown kernel name '" << name << "')");
 }
 
 }  // namespace
@@ -266,52 +306,44 @@ TraceRecorder load_trace_csv(const std::string& path) {
   std::ifstream f(path);
   HQR_CHECK(f.good(), "cannot open " << path << " for reading");
   std::string line;
-  HQR_CHECK(std::getline(f, line) &&
-                line == "task,lane,sub,kernel,start,end,accel,row,piv,k,j",
+  HQR_CHECK(std::getline(f, line) && line == kCsvHeader,
             "not a trace CSV (bad header): " << path);
   TraceRecorder rec;
   while (std::getline(f, line)) {
     if (line.empty()) continue;
+    const CsvLine l{path, line};
     if (line[0] == '#') {
-      std::string field[7];
       if (line.compare(0, 7, "#lanes,") == 0) {
-        split_fields(line, path, field, 2);
-        rec.ensure_lanes(std::stoi(field[1]));
+        rec.ensure_lanes(
+            parse_lane(l, split_fields(l, 2)[1], kMaxTraceLanes));
       } else if (line.compare(0, 14, "#clock_offset,") == 0) {
-        split_fields(line, path, field, 2);
-        rec.set_clock_offset(std::stod(field[1]));
+        rec.set_clock_offset(parse<double>(l, split_fields(l, 2)[1]));
       } else if (line.compare(0, 6, "#flow,") == 0) {
-        split_fields(line, path, field, 7);
+        const std::vector<std::string> field = split_fields(l, 7);
         FlowEvent fl;
-        fl.producer = std::stoi(field[1]);
-        fl.src_rank = std::stoi(field[2]);
-        fl.dest_rank = std::stoi(field[3]);
-        fl.consumer = std::stoi(field[4]);
-        fl.send_time = std::stod(field[5]);
-        fl.recv_time = std::stod(field[6]);
+        fl.producer = parse<std::int32_t>(l, field[1]);
+        fl.src_rank = parse<std::int32_t>(l, field[2]);
+        fl.dest_rank = parse<std::int32_t>(l, field[3]);
+        fl.consumer = parse<std::int32_t>(l, field[4]);
+        fl.send_time = parse<double>(l, field[5]);
+        fl.recv_time = parse<double>(l, field[6]);
         rec.add_flow(fl);
       }
       // Unknown '#' lines are forward-compatible comments: skip.
       continue;
     }
-    std::istringstream ls(line);
-    std::string field[11];
-    for (int i = 0; i < 11; ++i)
-      HQR_CHECK(std::getline(ls, field[i], ','),
-                "short row in " << path << ": '" << line << "'");
+    const std::vector<std::string> field = split_fields(l, 10);
     TraceEvent e;
-    e.task = std::stoi(field[0]);
-    e.lane = std::stoi(field[1]);
-    e.sub = std::stoi(field[2]);
-    e.type = kernel_type_from_name(field[3]);
-    e.start = std::stod(field[4]);
-    e.end = std::stod(field[5]);
-    e.on_accel = field[6] == "1";
-    e.row = std::stoi(field[7]);
-    e.piv = std::stoi(field[8]);
-    e.k = std::stoi(field[9]);
-    e.j = std::stoi(field[10]);
-    HQR_CHECK(e.lane >= 0, "negative lane in " << path);
+    e.task = parse<std::int32_t>(l, field[0]);
+    e.lane = parse_lane(l, field[1], kMaxTraceLanes - 1);
+    e.sub = parse<std::int32_t>(l, field[2]);
+    e.type = kernel_type_from_name(l, field[3]);
+    e.start = parse<double>(l, field[4]);
+    e.end = parse<double>(l, field[5]);
+    e.row = parse<std::int32_t>(l, field[6]);
+    e.piv = parse<std::int32_t>(l, field[7]);
+    e.k = parse<std::int32_t>(l, field[8]);
+    e.j = parse<std::int32_t>(l, field[9]);
     rec.ensure_lanes(e.lane + 1);
     rec.record(e.lane, e);
   }

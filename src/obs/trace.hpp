@@ -4,8 +4,8 @@
 // layer records them).
 //
 // One TraceEvent per executed task: kernel type, tile coordinates, the lane
-// it ran on (worker thread in the runtime; node/core — or node/accelerator —
-// in the simulator), and start/end times. Dependencies are not duplicated
+// it ran on (worker thread in the runtime; node/core in the simulator), and
+// start/end times. Dependencies are not duplicated
 // into the trace: `task` indexes the TaskGraph the run executed, which the
 // analyzer (obs/analyzer.hpp) uses to recover them.
 //
@@ -37,9 +37,8 @@ namespace hqr::obs {
 struct TraceEvent {
   std::int32_t task = -1;  // index into the executed TaskGraph (-1: unknown)
   std::int32_t lane = 0;   // worker thread (runtime) or node (simulator)
-  std::int32_t sub = 0;    // core/accelerator within the lane (0 in runtime)
+  std::int32_t sub = 0;    // core within the lane (0 in runtime)
   KernelType type = KernelType::GEQRT;
-  bool on_accel = false;
   // Tile coordinates of the kernel (KernelOp fields); -1 when not recorded.
   std::int32_t row = -1;
   std::int32_t piv = -1;
@@ -126,7 +125,7 @@ class TraceRecorder {
   // All events merged across lane buffers, sorted by (start, lane, sub).
   std::vector<TraceEvent> sorted_events() const;
 
-  // CSV export, header: task,lane,sub,kernel,start,end,accel,row,piv,k,j.
+  // CSV export, header: task,lane,sub,kernel,start,end,row,piv,k,j.
   // Metadata rides in leading-'#' lines after the header: `#lanes,N`,
   // `#clock_offset,S`, and one `#flow,...` line per flow event, so a
   // save/load round-trip preserves lane identity, the clock offset and the
@@ -136,7 +135,7 @@ class TraceRecorder {
 
   // Chrome trace-event JSON (load in Perfetto: https://ui.perfetto.dev or
   // chrome://tracing). One complete ("ph":"X") event per task; lanes become
-  // processes, cores/accelerators become named threads. Complete flow events
+  // processes, cores/workers become named threads. Complete flow events
   // export as "s"/"f" arrows from the producer task's slice to the consumer
   // task's slice. Throws hqr::Error on write failure.
   void save_chrome_json(const std::string& path) const;
@@ -156,9 +155,17 @@ class TraceRecorder {
   std::vector<FlowEvent> flows_;
 };
 
+// Largest lane count load_trace_csv accepts (from `#lanes,N` or a row's
+// lane + 1): far above any host's workers or any simulated cluster (the
+// fault sweep's 1024 nodes), and small enough that a hostile file cannot
+// make the loader allocate more than a few MB of empty lane buffers.
+inline constexpr int kMaxTraceLanes = 1 << 16;
+
 // Parses a CSV written by TraceRecorder::save_csv back into a recorder,
 // restoring per-lane buffers, the clock offset and flow events from the
-// metadata lines. Throws hqr::Error on malformed input.
+// metadata lines. The file is untrusted: every malformed row, non-numeric
+// or out-of-range field and lane count above kMaxTraceLanes throws an
+// hqr::Error naming the file, before anything is allocated for it.
 TraceRecorder load_trace_csv(const std::string& path);
 
 // Merges one trace CSV per rank (csv_paths[r] = rank r's worker-lane trace)

@@ -37,7 +37,7 @@ struct DagState {
 
   std::vector<int> npred;       // outstanding predecessors per task
   std::vector<char> external;   // 1 = executed outside the pool
-  std::vector<double> depth;    // task priority within the DAG
+  std::vector<double> depth;    // critical-path depth: the ready order
   std::priority_queue<ReadyTask> ready;
   long long remaining = 0;  // local tasks not yet executed
   long long delivered = 0;  // tasks handed to workers (the fairness key)
@@ -279,9 +279,15 @@ struct DagPool::Impl {
       st.seconds_by_kernel[k] += t1 - t0;
       if (opts.metrics) kernel_hist[k]->observe(t1 - t0);
       if (opts.trace)
-        opts.trace->record(lane, {idx, lane, /*sub=*/0, op.type,
-                                  /*on_accel=*/false, op.row, op.piv, op.k,
-                                  op.j, t0, t1});
+        opts.trace->record(lane, {.task = idx,
+                                  .lane = lane,
+                                  .type = op.type,
+                                  .row = op.row,
+                                  .piv = op.piv,
+                                  .k = op.k,
+                                  .j = op.j,
+                                  .start = t0,
+                                  .end = t1});
     }
     ++st.executed;
     ++st.tasks_by_kernel[k];
@@ -339,8 +345,7 @@ struct DagPool::Impl {
       std::int32_t keep = -1;
       if (!dag->cancelled) {
         --dag->remaining;
-        int released =
-            release_locked(*dag, idx, opts.data_reuse ? &keep : nullptr);
+        int released = release_locked(*dag, idx, &keep);
         if (keep >= 0 && !would_win_locked(*dag)) {
           push_ready_locked(*dag, keep);
           ++released;
@@ -374,16 +379,9 @@ struct DagPool::Impl {
     dag->npred.resize(static_cast<std::size_t>(n));
     for (int i = 0; i < n; ++i)
       dag->npred[static_cast<std::size_t>(i)] = dag->graph->num_predecessors(i);
-    if (opts.priority_scheduling) {
-      // Depth on the critical path of the FULL graph, external tasks
-      // included — what the cluster simulator assumes every node
-      // schedules by.
-      dag->graph->critical_path(unit_weight_duration, &dag->depth);
-    } else {
-      dag->depth.resize(static_cast<std::size_t>(n));
-      for (int i = 0; i < n; ++i)
-        dag->depth[static_cast<std::size_t>(i)] = static_cast<double>(n - i);
-    }
+    // Depth on the critical path of the FULL graph, external tasks
+    // included — what the cluster simulator assumes every node schedules by.
+    dag->graph->critical_path(unit_weight_duration, &dag->depth);
     for (int i = 0; i < n; ++i)
       if (!dag->external[static_cast<std::size_t>(i)]) ++dag->remaining;
 

@@ -10,8 +10,7 @@
 //     dependency counters, ready queue, and remaining count; a DAG's
 //     completion callback fires on the worker that ran its last task.
 //   * critical-path priority — within a DAG, ready tasks order by their
-//     depth on the graph's critical path (or by task index, FIFO, when
-//     priority scheduling is off).
+//     depth on the graph's critical path (lower task index on ties).
 //   * data reuse — a worker that finishes a task keeps the best newly-ready
 //     successor and runs it next while its input tiles are warm, provided
 //     that DAG would win the admission pick anyway, so the keep never
@@ -114,11 +113,6 @@ struct DagPoolOptions {
   // are active (0 = unbounded). Backpressure for serving layers — a client
   // burst degrades into typed refusals instead of unbounded queue growth.
   int max_active_dags = 0;
-  // Order a DAG's ready tasks by critical-path depth (true) or FIFO by task
-  // index (false) — the scheduler-priority ablation.
-  bool priority_scheduling = true;
-  // Data-reuse heuristic: keep one ready successor local to the worker.
-  bool data_reuse = true;
   // Observability sinks. Null = disabled; enabling either costs two clock
   // reads per task plus lock-free per-lane appends / atomic updates. The
   // trace gets one span per task on the worker's lane; metrics get the

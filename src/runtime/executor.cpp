@@ -24,8 +24,6 @@ RunStats run_graph(const TaskGraph& graph, int b,
   HQR_CHECK(opts.threads >= 1, "need at least one thread");
   DagPoolOptions popts;
   popts.threads = opts.threads - 1;
-  popts.priority_scheduling = opts.priority_scheduling;
-  popts.data_reuse = opts.data_reuse;
   popts.trace = opts.trace;
   popts.metrics = opts.metrics;
   popts.trace_origin = opts.trace_origin;

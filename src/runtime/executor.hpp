@@ -2,10 +2,10 @@
 //
 // Executes the real numeric kernels of a QR factorization following the
 // task-graph dependencies. Each call submits its graph to a private
-// DagPool (runtime/dag_pool.hpp) of `threads` workers and waits: ready
-// tasks are ordered by critical-path depth, and a worker preferentially
-// continues with a successor of the task it just finished (data-reuse
-// heuristic).
+// DagPool (runtime/dag_pool.hpp) of `threads` workers and waits, under the
+// pool's one scheduling policy: ready tasks are ordered by critical-path
+// depth, and a worker preferentially continues with a successor of the
+// task it just finished (data-reuse keep).
 #pragma once
 
 #include <cstdint>
@@ -23,11 +23,6 @@ namespace hqr {
 
 struct ExecutorOptions {
   int threads = 1;
-  // Use critical-path depth as priority (true) or FIFO order (false) —
-  // the scheduler-priority ablation bench flips this.
-  bool priority_scheduling = true;
-  // Data-reuse heuristic: keep one ready successor local to the worker.
-  bool data_reuse = true;
   // Inner block of the tile kernels (0 = default_inner_block(b), the
   // host's tuned choice).
   int ib = 0;

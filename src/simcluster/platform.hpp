@@ -3,7 +3,9 @@
 // Calibrated against the paper's §V-A measurements on the Grid'5000 edel
 // cluster: 60 nodes x 8 cores, per-core theoretical peak 9.08 GFlop/s,
 // dTSMQR measured at 7.21 GFlop/s/core (79.4% of peak), dTTMQR at 6.28
-// (69.2%), Infiniband 20G interconnect.
+// (69.2%), Infiniband 20G interconnect. Nodes carry CPU cores only: the
+// accelerators of the paper's §VI future work are not modelled, since no
+// host here has one to calibrate against.
 #pragma once
 
 #include <string>
@@ -48,16 +50,6 @@ struct Platform {
   double latency = 1.5e-6;       // seconds per message (Infiniband-class)
   double bandwidth = 1.8e9;      // bytes/second effective per link
 
-  // Accelerators (the paper's §VI future work): each node may carry
-  // `accels_per_node` devices that execute *update* kernels (UNMQR, TSMQR,
-  // TTMQR — the GEMM-rich work GPUs are good at) at `accel_rates`; factor
-  // kernels stay on the CPU cores (panel factorization is latency-bound and
-  // a poor fit for accelerators). accel_rates defaults are an order of
-  // magnitude above the CPU, 2011-era GPU-vs-socket.
-  int accels_per_node = 0;
-  KernelRates accel_rates{/*geqrt=*/0, /*unmqr=*/55.0, /*tsqrt=*/0,
-                          /*tsmqr=*/70.0, /*ttqrt=*/0, /*ttmqr=*/50.0};
-
   double theoretical_peak_gflops() const {
     return nodes * cores_per_node * peak_per_core_gflops;
   }
@@ -65,17 +57,6 @@ struct Platform {
   // Wall-clock seconds for one kernel on b x b tiles on one core.
   double kernel_seconds(KernelType k, int b) const {
     return kernel_flops(k, b) / (rates.rate(k) * 1e9);
-  }
-
-  // True when `k` may execute on an accelerator of this platform.
-  bool accel_eligible(KernelType k) const {
-    return accels_per_node > 0 && !is_factor_kernel(k) &&
-           accel_rates.rate(k) > 0;
-  }
-
-  // Wall-clock seconds for one update kernel on one accelerator.
-  double accel_kernel_seconds(KernelType k, int b) const {
-    return kernel_flops(k, b) / (accel_rates.rate(k) * 1e9);
   }
 
   // Transfer time for `bytes` between two distinct nodes.

@@ -51,36 +51,21 @@ SimResult simulate_qr(const TaskGraph& graph, const Distribution& dist,
       static_cast<double>(opts.b) * opts.b * sizeof(double);
 
   // Static per-task data.
-  const int naccel = opts.platform.accels_per_node;
   std::vector<std::int32_t> node(static_cast<std::size_t>(ntasks));
   std::vector<float> dur(static_cast<std::size_t>(ntasks));
-  std::vector<float> dur_accel;
-  std::vector<char> accel_ok(static_cast<std::size_t>(ntasks), 0);
-  if (naccel > 0) dur_accel.assign(static_cast<std::size_t>(ntasks), 0.0f);
   for (std::int32_t i = 0; i < ntasks; ++i) {
     const KernelOp& op = graph.op(i);
     node[i] = static_cast<std::int32_t>(task_node(op, dist));
     dur[i] = static_cast<float>(opts.platform.kernel_seconds(op.type, opts.b));
-    if (naccel > 0 && opts.platform.accel_eligible(op.type)) {
-      accel_ok[i] = 1;
-      dur_accel[i] = static_cast<float>(
-          opts.platform.accel_kernel_seconds(op.type, opts.b));
-    }
   }
 
-  // Priorities: critical-path depth in seconds (or FIFO).
+  // Priorities: critical-path depth in seconds.
   std::vector<double> depth;
-  if (opts.priority_scheduling) {
-    graph.critical_path(
-        [&](const KernelOp& op) {
-          return opts.platform.kernel_seconds(op.type, opts.b);
-        },
-        &depth);
-  } else {
-    depth.assign(static_cast<std::size_t>(ntasks), 0.0);
-    for (std::int32_t i = 0; i < ntasks; ++i)
-      depth[i] = static_cast<double>(ntasks - i);
-  }
+  graph.critical_path(
+      [&](const KernelOp& op) {
+        return opts.platform.kernel_seconds(op.type, opts.b);
+      },
+      &depth);
 
   std::vector<double> ready_time(static_cast<std::size_t>(ntasks), 0.0);
   std::vector<std::int32_t> npred(static_cast<std::size_t>(ntasks));
@@ -88,49 +73,28 @@ SimResult simulate_qr(const TaskGraph& graph, const Distribution& dist,
     npred[i] = graph.num_predecessors(i);
 
   std::priority_queue<Event, std::vector<Event>, std::greater<Event>> events;
-  // Two ready pools per node: CPU-only tasks (factor kernels) and
-  // accelerator-eligible updates (which cores may also take).
   std::vector<std::priority_queue<ReadyEntry>> ready(
-      static_cast<std::size_t>(nnodes));
-  std::vector<std::priority_queue<ReadyEntry>> ready_upd(
       static_cast<std::size_t>(nnodes));
   std::vector<int> idle(static_cast<std::size_t>(nnodes),
                         opts.platform.cores_per_node);
-  std::vector<int> idle_accel(static_cast<std::size_t>(nnodes), naccel);
   std::vector<double> busy(static_cast<std::size_t>(nnodes), 0.0);
-  std::vector<double> busy_accel(static_cast<std::size_t>(nnodes), 0.0);
-  // Which resource a running task occupies (0 = core, 1 = accelerator).
-  std::vector<char> resource(static_cast<std::size_t>(ntasks), 0);
 
-  // Tracing needs stable (node, core) lanes, so keep a free-id pool per node
-  // (cores: 0..C-1; accelerators: C..C+A-1) and remember each running
-  // task's unit to return it on completion.
+  // Tracing needs stable (node, core) lanes, so keep a free-core pool per
+  // node and remember each running task's core to return it on completion.
   const int cores = opts.platform.cores_per_node;
-  std::vector<std::vector<std::int32_t>> free_units;
-  std::vector<std::int32_t> unit_of;
+  std::vector<std::vector<std::int32_t>> free_cores;
+  std::vector<std::int32_t> core_of;
+  const auto fill_cores = [&](int nd) {
+    free_cores[nd].clear();
+    // pop_back yields the lowest id first.
+    for (int c = cores; c-- > 0;) free_cores[nd].push_back(c);
+  };
   if (opts.trace != nullptr) {
     opts.trace->set_labels("node", "core");
-    free_units.resize(static_cast<std::size_t>(nnodes));
-    for (int nd = 0; nd < nnodes; ++nd) {
-      // pop_back yields the lowest id first.
-      for (int c = cores + naccel; c-- > 0;)
-        free_units[nd].push_back(c);
-    }
-    unit_of.assign(static_cast<std::size_t>(ntasks), 0);
+    free_cores.resize(static_cast<std::size_t>(nnodes));
+    for (int nd = 0; nd < nnodes; ++nd) fill_cores(nd);
+    core_of.assign(static_cast<std::size_t>(ntasks), 0);
   }
-  auto claim_unit = [&](int nd, bool accel) -> std::int32_t {
-    auto& pool = free_units[static_cast<std::size_t>(nd)];
-    for (std::size_t i = pool.size(); i-- > 0;) {
-      const bool is_accel = pool[i] >= cores;
-      if (is_accel == accel) {
-        const std::int32_t u = pool[i];
-        pool.erase(pool.begin() + static_cast<std::ptrdiff_t>(i));
-        return u;
-      }
-    }
-    HQR_CHECK(false, "no free " << (accel ? "accelerator" : "core")
-                                << " on node " << nd);
-  };
 
   SimResult res;
   res.tasks = ntasks;
@@ -249,44 +213,34 @@ SimResult simulate_qr(const TaskGraph& graph, const Distribution& dist,
     return arr;
   };
 
-  auto record = [&](std::int32_t t, int nd, double start, double finish,
-                    bool accel) {
-    res.tasks_by_kernel[kernel_type_index(graph.op(t).type)] += 1;
-    res.seconds_by_kernel[kernel_type_index(graph.op(t).type)] +=
-        finish - start;
-    if (opts.trace == nullptr) return;
-    const std::int32_t u = claim_unit(nd, accel);
-    unit_of[t] = u;
+  auto record = [&](std::int32_t t, int nd, double start, double finish) {
     const KernelOp& op = graph.op(t);
-    opts.trace->add({t, nd, u, op.type, accel, op.row, op.piv, op.k, op.j,
-                     start, finish});
+    res.tasks_by_kernel[kernel_type_index(op.type)] += 1;
+    res.seconds_by_kernel[kernel_type_index(op.type)] += finish - start;
+    if (opts.trace == nullptr) return;
+    auto& pool = free_cores[static_cast<std::size_t>(nd)];
+    HQR_CHECK(!pool.empty(), "no free core on node " << nd);
+    const std::int32_t u = pool.back();
+    pool.pop_back();
+    core_of[t] = u;
+    opts.trace->add({.task = t,
+                     .lane = nd,
+                     .sub = u,
+                     .type = op.type,
+                     .row = op.row,
+                     .piv = op.piv,
+                     .k = op.k,
+                     .j = op.j,
+                     .start = start,
+                     .end = finish});
   };
 
+  // Idle cores take the node's highest-priority ready tasks.
   auto dispatch = [&](int nd) {
-    // Accelerators drain the update pool first (they run those faster).
-    while (idle_accel[nd] > 0 && !ready_upd[nd].empty()) {
-      const std::int32_t t = ready_upd[nd].top().task;
-      ready_upd[nd].pop();
-      --idle_accel[nd];
-      resource[t] = 1;
-      const double d = dur_accel[t];
-      const double finish = now + d;
-      busy_accel[nd] += d;
-      record(t, nd, now, finish, /*accel=*/true);
-      push_event(finish, t, /*completion=*/true);
-    }
-    // Cores take the highest-priority task across both pools.
-    while (idle[nd] > 0) {
-      std::priority_queue<ReadyEntry>* q = nullptr;
-      if (!ready[nd].empty()) q = &ready[nd];
-      if (!ready_upd[nd].empty() &&
-          (!q || ready_upd[nd].top().priority > q->top().priority))
-        q = &ready_upd[nd];
-      if (!q) break;
-      const std::int32_t t = q->top().task;
-      q->pop();
+    while (idle[nd] > 0 && !ready[nd].empty()) {
+      const std::int32_t t = ready[nd].top().task;
+      ready[nd].pop();
       --idle[nd];
-      resource[t] = 0;
       double d = dur[t];
       if (opts.comm_thread_steal && comm_debt[nd] > 0.0) {
         // The communication thread steals at most one core's worth of time
@@ -299,7 +253,7 @@ SimResult simulate_qr(const TaskGraph& graph, const Distribution& dist,
       }
       const double finish = now + d;
       busy[nd] += d;
-      record(t, nd, now, finish, /*accel=*/false);
+      record(t, nd, now, finish);
       push_event(finish, t, /*completion=*/true);
     }
   };
@@ -362,14 +316,9 @@ SimResult simulate_qr(const TaskGraph& graph, const Distribution& dist,
     // The replacement process starts with fresh resources and arms no
     // further chaos actions.
     idle[nd] = opts.platform.cores_per_node;
-    idle_accel[nd] = naccel;
     comm_debt[nd] = 0.0;
     ready[nd] = {};
-    ready_upd[nd] = {};
-    if (opts.trace != nullptr) {
-      free_units[nd].clear();
-      for (int c = cores + naccel; c-- > 0;) free_units[nd].push_back(c);
-    }
+    if (opts.trace != nullptr) fill_cores(nd);
     armed[nd].clear();
   };
 
@@ -480,10 +429,7 @@ SimResult simulate_qr(const TaskGraph& graph, const Distribution& dist,
     // kill rolled their effects back.
     if (faulty && evgen[ev.task] != gen[nd]) continue;
     if (!ev.is_completion) {
-      if (accel_ok[ev.task])
-        ready_upd[nd].push({depth[ev.task], ev.task});
-      else
-        ready[nd].push({depth[ev.task], ev.task});
+      ready[nd].push({depth[ev.task], ev.task});
       dispatch(nd);
       continue;
     }
@@ -513,13 +459,10 @@ SimResult simulate_qr(const TaskGraph& graph, const Distribution& dist,
       if (killed) continue;
     }
 
-    // Task completion: free the resource, release successors.
+    // Task completion: free the core, release successors.
     ++done;
-    if (resource[ev.task])
-      ++idle_accel[nd];
-    else
-      ++idle[nd];
-    if (opts.trace != nullptr) free_units[nd].push_back(unit_of[ev.task]);
+    ++idle[nd];
+    if (opts.trace != nullptr) free_cores[nd].push_back(core_of[ev.task]);
     if (faulty && redo[ev.task]) {
       // Re-execution of rolled-back work whose output already reached every
       // remote consumer before the kill: the replacement re-posts (direct
@@ -652,13 +595,6 @@ SimResult simulate_qr(const TaskGraph& graph, const Distribution& dist,
   }
   const double capacity = node_capacity * nnodes;
   res.core_utilization = capacity > 0 ? total_busy / capacity : 0.0;
-  if (naccel > 0) {
-    double total_accel = 0.0;
-    for (double b : busy_accel) total_accel += b;
-    const double accel_capacity = res.seconds * naccel * nnodes;
-    res.accel_utilization =
-        accel_capacity > 0 ? total_accel / accel_capacity : 0.0;
-  }
   res.critical_path_seconds = graph.critical_path([&](const KernelOp& op) {
     return opts.platform.kernel_seconds(op.type, opts.b);
   });

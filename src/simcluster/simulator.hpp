@@ -32,16 +32,15 @@
 namespace hqr {
 
 // Execution traces of simulated runs use the unified observability layer
-// (obs/trace.hpp): one TraceEvent per task with lane = node, sub = core (or
-// accelerator, offset past the cores). Export to CSV or Chrome/Perfetto
-// JSON through TraceRecorder; analyze with obs/analyzer.hpp.
+// (obs/trace.hpp): one TraceEvent per task with lane = node, sub = core.
+// Export to CSV or Chrome/Perfetto JSON through TraceRecorder; analyze with
+// obs/analyzer.hpp.
 using TraceEvent = obs::TraceEvent;
 using SimTrace = obs::TraceRecorder;
 
 struct SimOptions {
   Platform platform;
   int b = 280;                     // tile size (elements)
-  bool priority_scheduling = true; // false: FIFO (scheduler ablation)
   // Serialize transfers on per-node NICs (one send + one receive channel
   // per node). Without it bandwidth is infinite and only per-message
   // pipeline delay remains (network-model ablation).
@@ -91,7 +90,6 @@ struct SimResult {
   long long messages = 0;          // inter-node messages
   double volume_gbytes = 0.0;      // inter-node traffic
   double core_utilization = 0.0;   // busy time / (makespan * cores)
-  double accel_utilization = 0.0;  // busy time / (makespan * accels), 0 if none
   double critical_path_seconds = 0.0;  // zero-communication lower bound
   long long tasks = 0;
   std::vector<double> node_busy_fraction;  // per-node busy / makespan*cores

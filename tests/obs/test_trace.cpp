@@ -5,7 +5,9 @@
 #include <algorithm>
 #include <fstream>
 #include <map>
+#include <ostream>
 #include <sstream>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -114,7 +116,7 @@ TEST(Trace, SaveDispatchesOnExtension) {
     std::ifstream in(dir + "trace_dispatch.csv");
     std::string header;
     std::getline(in, header);
-    EXPECT_EQ(header, "task,lane,sub,kernel,start,end,accel,row,piv,k,j");
+    EXPECT_EQ(header, "task,lane,sub,kernel,start,end,row,piv,k,j");
   }
 }
 
@@ -196,7 +198,6 @@ TEST(Trace, CsvRoundTripPreservesEveryField) {
                            .lane = 0,
                            .sub = 2,
                            .type = KernelType::TSMQR,
-                           .on_accel = true,
                            .row = 3,
                            .piv = 1,
                            .k = 0,
@@ -225,7 +226,6 @@ TEST(Trace, CsvRoundTripPreservesEveryField) {
     EXPECT_EQ(got[i].lane, want[i].lane);
     EXPECT_EQ(got[i].sub, want[i].sub);
     EXPECT_EQ(got[i].type, want[i].type);
-    EXPECT_EQ(got[i].on_accel, want[i].on_accel);
     EXPECT_EQ(got[i].row, want[i].row);
     EXPECT_EQ(got[i].piv, want[i].piv);
     EXPECT_EQ(got[i].k, want[i].k);
@@ -241,6 +241,86 @@ TEST(Trace, LoadTraceCsvRejectsGarbage) {
   EXPECT_THROW(obs::load_trace_csv(path), Error);
   EXPECT_THROW(obs::load_trace_csv(::testing::TempDir() + "missing_file.csv"),
                Error);
+
+  // The pre-10-column header is not this format either. Malformed bodies
+  // after a valid header are the TraceCsvGarbage rows below.
+  std::ofstream(path) << "task,lane,sub,kernel,start,end,accel,row,piv,k,j\n";
+  EXPECT_THROW(obs::load_trace_csv(path), Error);
+}
+
+// One malformed body after a valid header. The huge lane values are
+// rejected before anything is sized by them.
+struct GarbageCase {
+  const char* name;
+  std::string body;
+};
+void PrintTo(const GarbageCase& c, std::ostream* os) { *os << c.name; }
+
+class TraceCsvGarbage : public ::testing::TestWithParam<GarbageCase> {};
+
+TEST_P(TraceCsvGarbage, RejectedWithErrorNamingTheFile) {
+  const GarbageCase& c = GetParam();
+  const std::string path =
+      ::testing::TempDir() + "garbage_" + c.name + ".csv";
+  std::ofstream(path) << "task,lane,sub,kernel,start,end,row,piv,k,j\n"
+                      << c.body;
+  try {
+    obs::load_trace_csv(path);
+    ADD_FAILURE() << "accepted: " << c.body;
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(path), std::string::npos)
+        << e.what();
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Bodies, TraceCsvGarbage,
+    ::testing::Values(
+        GarbageCase{"LanesIntMax", "#lanes,2147483647\n"},
+        GarbageCase{"LanesOneAboveBound",
+                    "#lanes," + std::to_string(obs::kMaxTraceLanes + 1) +
+                        "\n"},
+        GarbageCase{"LanesNegative", "#lanes,-1\n"},
+        GarbageCase{"LanesNonNumeric", "#lanes,many\n"},
+        GarbageCase{"RowLaneIntMax", "0,2147483647,0,GEQRT,0,1,0,0,0,-1\n"},
+        GarbageCase{"RowLaneAtBound",
+                    "0," + std::to_string(obs::kMaxTraceLanes) +
+                        ",0,GEQRT,0,1,0,0,0,-1\n"},
+        GarbageCase{"RowLaneNegative", "0,-1,0,GEQRT,0,1,0,0,0,-1\n"},
+        GarbageCase{"TaskNonNumeric", "x,0,0,GEQRT,0,1,0,0,0,-1\n"},
+        GarbageCase{"StartNonNumeric", "0,0,0,GEQRT,soon,1,0,0,0,-1\n"},
+        GarbageCase{"IntFieldPartlyNumeric", "0,0,0,GEQRT,0,1,0,0,0,1e3\n"},
+        GarbageCase{"TaskOutOfRange", "99999999999,0,0,GEQRT,0,1,0,0,0,-1\n"},
+        GarbageCase{"UnknownKernel", "0,0,0,FOO,0,1,0,0,0,-1\n"},
+        GarbageCase{"OldAccelColumnRow", "0,0,0,GEQRT,0,1,0,0,0,0,-1\n"},
+        GarbageCase{"EmptyLastField", "0,0,0,GEQRT,0,1,0,0,0,\n"},
+        GarbageCase{"TruncatedRow", "0,0,0,GEQRT,0\n"},
+        GarbageCase{"FlowTooFewFields", "#flow,1,0,1,2,0.5\n"},
+        GarbageCase{"ClockOffsetEmpty", "#clock_offset,\n"}));
+
+TEST(Trace, LoadTraceCsvAcceptsLanesAtTheBound) {
+  // The largest lane count and the highest lane id the bound admits.
+  const std::string path = ::testing::TempDir() + "bound.csv";
+  std::ofstream(path) << "task,lane,sub,kernel,start,end,row,piv,k,j\n"
+                      << "#lanes," << obs::kMaxTraceLanes << "\n"
+                      << "0," << obs::kMaxTraceLanes - 1
+                      << ",0,GEQRT,0,1,0,0,0,-1\n";
+  const TraceRecorder rec = obs::load_trace_csv(path);
+  EXPECT_EQ(rec.lanes(), obs::kMaxTraceLanes);
+  ASSERT_EQ(rec.size(), 1u);
+  EXPECT_EQ(rec.sorted_events()[0].lane, obs::kMaxTraceLanes - 1);
+}
+
+TEST(Trace, LoadTraceCsvAcceptsAThousandNodeSimulatedTrace) {
+  // The lane bound leaves room for the fault sweep's 1024-node traces.
+  const std::string path = ::testing::TempDir() + "wide.csv";
+  std::ofstream(path) << "task,lane,sub,kernel,start,end,row,piv,k,j\n"
+                      << "#lanes,1\n"
+                      << "0,1023,7,TSMQR,0.5,1.5,3,1,0,2\n";
+  const TraceRecorder rec = obs::load_trace_csv(path);
+  EXPECT_EQ(rec.lanes(), 1024);
+  ASSERT_EQ(rec.size(), 1u);
+  EXPECT_EQ(rec.sorted_events()[0].sub, 7);
 }
 
 TEST(Trace, MergeRankTracesRemapsWorkerLanesUnderRanks) {

@@ -73,20 +73,15 @@ TEST(DagPool, SingleDagBitIdenticalToSequential) {
 
 TEST(DagPool, ExecutorPathBitIdenticalToSequential) {
   // qr_factorize_parallel submits its graph to a private pool; the result
-  // must match the sequential factorization bitwise, with and without the
-  // data-reuse keep.
+  // must match the sequential factorization bitwise.
   Rng rng(5);
   Matrix a0 = random_gaussian(36, 20, rng);
   auto list = per_panel_tree_list(TreeKind::Binary, 9, 5);
   QRFactors seq = qr_factorize_sequential(a0, 4, list);
-  for (bool reuse : {true, false}) {
-    ExecutorOptions eopts{4, true, reuse};
-    QRFactors par = qr_factorize_parallel(a0, 4, list, eopts);
-    EXPECT_EQ(max_abs_diff(seq.a().to_padded_matrix().view(),
-                           par.a().to_padded_matrix().view()),
-              0.0)
-        << "data_reuse=" << reuse;
-  }
+  QRFactors par = qr_factorize_parallel(a0, 4, list, {.threads = 4});
+  EXPECT_EQ(max_abs_diff(seq.a().to_padded_matrix().view(),
+                         par.a().to_padded_matrix().view()),
+            0.0);
 }
 
 TEST(DagPool, EightConcurrentDagsOnOnePool) {
@@ -454,12 +449,13 @@ TEST(DagPool, AdmissionLimitThrowsTypedOverload) {
 }
 
 // The single-lane schedule the pool documents, replayed off-line: ready
-// tasks pop highest `prio` first (lower index on ties); with `reuse`, a
-// finished task hands its deepest newly-ready successor (the first one in
+// tasks pop deepest on the critical path first (lower index on ties), and
+// a finished task hands its deepest newly-ready successor (the first one in
 // successor order on ties) straight to the lane and queues the rest.
 std::vector<std::int32_t> single_lane_schedule(const TaskGraph& g,
-                                               const std::vector<double>& prio,
-                                               bool reuse, long long* keeps) {
+                                               long long* keeps) {
+  std::vector<double> prio;
+  g.critical_path(unit_weight_duration, &prio);
   const auto before = [&](std::int32_t x, std::int32_t y) {
     const auto xi = static_cast<std::size_t>(x);
     const auto yi = static_cast<std::size_t>(y);
@@ -488,8 +484,8 @@ std::vector<std::int32_t> single_lane_schedule(const TaskGraph& g,
     next = -1;
     for (std::int32_t s : g.successors(t)) {
       if (--npred[static_cast<std::size_t>(s)] != 0) continue;
-      if (reuse && (next < 0 || prio[static_cast<std::size_t>(s)] >
-                                    prio[static_cast<std::size_t>(next)])) {
+      if (next < 0 || prio[static_cast<std::size_t>(s)] >
+                          prio[static_cast<std::size_t>(next)]) {
         if (next >= 0) ready.push(next);
         next = s;
       } else {
@@ -503,27 +499,16 @@ std::vector<std::int32_t> single_lane_schedule(const TaskGraph& g,
 // Runs one factorization on a zero-worker pool, so every task executes on
 // the shutdown() caller in the pool's own order, and checks that order
 // against single_lane_schedule.
-void expect_single_lane_order(bool priority, bool reuse) {
+TEST(DagPool, ReuseKeepRunsDeepestNewlyReadySuccessorNext) {
   Rng rng(41);
   Matrix a = random_gaussian(48, 32, rng);
   const auto list = greedy_global_list(6, 4).list;
   Job j = make_job(a, 8, list);
-  std::vector<double> prio(static_cast<std::size_t>(j.graph->size()));
-  if (priority) {
-    j.graph->critical_path(unit_weight_duration, &prio);
-  } else {
-    for (int i = 0; i < j.graph->size(); ++i)
-      prio[static_cast<std::size_t>(i)] = -static_cast<double>(i);
-  }
   long long keeps = 0;
   const std::vector<std::int32_t> expected =
-      single_lane_schedule(*j.graph, prio, reuse, &keeps);
+      single_lane_schedule(*j.graph, &keeps);
 
-  DagPoolOptions opts;
-  opts.threads = 0;
-  opts.priority_scheduling = priority;
-  opts.data_reuse = reuse;
-  DagPool pool(opts);
+  DagPool pool({.threads = 0});
   std::vector<std::int32_t> order;
   auto run = exec_fn(j.f);
   pool.submit(j.graph, 8, [&](std::int32_t idx, TileWorkspace& ws) {
@@ -534,23 +519,9 @@ void expect_single_lane_order(bool priority, bool reuse) {
   EXPECT_EQ(order, expected);
   EXPECT_EQ(st.reuse_hits, keeps);
   EXPECT_EQ(st.queue_pops, st.total_tasks - keeps);
-  if (reuse) {
-    EXPECT_GT(keeps, 0);
-  }
+  EXPECT_GT(keeps, 0);
   QRFactors seq = qr_factorize_sequential(a, 8, list);
   EXPECT_EQ(max_abs_diff(extract_r(seq).view(), extract_r(*j.f).view()), 0.0);
-}
-
-TEST(DagPool, FifoOrderRunsLowestReadyIndexFirst) {
-  expect_single_lane_order(/*priority=*/false, /*reuse=*/false);
-}
-
-TEST(DagPool, CriticalPathOrderRunsDeepestReadyFirst) {
-  expect_single_lane_order(/*priority=*/true, /*reuse=*/false);
-}
-
-TEST(DagPool, ReuseKeepRunsDeepestNewlyReadySuccessorNext) {
-  expect_single_lane_order(/*priority=*/true, /*reuse=*/true);
 }
 
 TEST(DagPool, ZeroWorkerPoolRunsEverythingInShutdown) {
@@ -578,22 +549,6 @@ TEST(DagPool, ZeroWorkerPoolRunsEverythingInShutdown) {
   EXPECT_EQ(st.threads, 1);
   ASSERT_EQ(st.tasks_per_thread.size(), 1u);
   EXPECT_EQ(st.tasks_per_thread[0], j.graph->size());
-}
-
-TEST(DagPool, ReuseOffCountsOnlyQueuePops) {
-  DagPoolOptions opts;
-  opts.threads = 2;
-  opts.data_reuse = false;
-  DagPool pool(opts);
-  Rng rng(47);
-  Matrix a = random_gaussian(48, 24, rng);
-  Job j = make_job(a, 8, flat_ts_list(6, 3));
-  pool.submit(j.graph, 8, exec_fn(j.f));
-  const RunStats st = pool.shutdown();
-  EXPECT_EQ(st.total_tasks, j.graph->size());
-  EXPECT_EQ(st.reuse_hits, 0);
-  EXPECT_EQ(st.queue_pops, st.total_tasks);
-  EXPECT_EQ(st.reuse_hit_rate(), 0.0);
 }
 
 TEST(DagPool, UnobservedShutdownLeavesTimingEmpty) {

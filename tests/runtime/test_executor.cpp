@@ -27,45 +27,7 @@ void expect_exact(const Matrix& a0, const QRFactors& f) {
             kTol);
 }
 
-// (threads, priority, data_reuse)
-class ExecutorConfigs
-    : public ::testing::TestWithParam<std::tuple<int, bool, bool>> {};
-
-TEST_P(ExecutorConfigs, ParallelFactorizationIsExact) {
-  auto [threads, priority, reuse] = GetParam();
-  Rng rng(42 + threads);
-  Matrix a0 = random_gaussian(36, 20, rng);
-  HqrConfig cfg{3, 2, TreeKind::Greedy, TreeKind::Fibonacci, true};
-  ExecutorOptions opts{threads, priority, reuse};
-  RunStats stats;
-  QRFactors f = qr_factorize_parallel(
-      a0, 4, hqr_elimination_list(9, 5, cfg), opts, &stats);
-  expect_exact(a0, f);
-  EXPECT_EQ(stats.threads, threads);
-  long long total = 0;
-  for (long long t : stats.tasks_per_thread) total += t;
-  EXPECT_EQ(total, stats.total_tasks);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    ThreadsAndPolicies, ExecutorConfigs,
-    ::testing::Combine(::testing::Values(1, 2, 4, 8),
-                       ::testing::Bool(),   // priority scheduling
-                       ::testing::Bool())); // data reuse
-
-// Bit-identity rows: kernels on dependent tiles are ordered by the graph
-// and independent kernels touch disjoint tiles, so every schedule the pool
-// may pick — any worker count, priority on or off, any interleaving —
-// reproduces the sequential factors to the last bit.
-struct IdentityCase {
-  const char* name;
-  int m, n, b;
-  int threads;
-  bool priority;
-  int runs;  // repeated runs, each compared with the sequential result
-  EliminationList (*list)(int mt, int nt);
-};
-
+EliminationList flat_list(int mt, int nt) { return flat_ts_list(mt, nt); }
 EliminationList greedy_list(int mt, int nt) {
   return greedy_global_list(mt, nt).list;
 }
@@ -78,6 +40,57 @@ EliminationList greedy_fibonacci_list(int mt, int nt) {
       mt, nt, HqrConfig{3, 2, TreeKind::Greedy, TreeKind::Fibonacci, true});
 }
 
+// An elimination order, named for the test suffix. Each gives the pool a
+// different DAG shape: the flat tree's panel fans out to every trailing
+// update at once, the greedy tree has the shortest critical path, and the
+// two hierarchical trees mix both.
+struct TreeCase {
+  const char* name;
+  EliminationList (*list)(int mt, int nt);
+};
+void PrintTo(const TreeCase& c, std::ostream* os) { *os << c.name; }
+
+// Parameters: (worker threads, elimination order).
+class ExecutorConfigs
+    : public ::testing::TestWithParam<std::tuple<int, TreeCase>> {};
+
+TEST_P(ExecutorConfigs, ParallelFactorizationIsExact) {
+  const auto& [threads, tree] = GetParam();
+  Rng rng(42 + threads);
+  Matrix a0 = random_gaussian(36, 20, rng);
+  const ExecutorOptions opts{.threads = threads};
+  RunStats stats;
+  QRFactors f = qr_factorize_parallel(a0, 4, tree.list(9, 5), opts, &stats);
+  expect_exact(a0, f);
+  EXPECT_EQ(stats.threads, threads);
+  long long total = 0;
+  for (long long t : stats.tasks_per_thread) total += t;
+  EXPECT_EQ(total, stats.total_tasks);
+  // Every task reaches a lane either kept by its predecessor or popped.
+  EXPECT_EQ(stats.reuse_hits + stats.queue_pops, stats.total_tasks);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ThreadsAndTrees, ExecutorConfigs,
+    ::testing::Combine(
+        ::testing::Values(1, 2, 4, 8),
+        ::testing::Values(TreeCase{"FlatTs", flat_list},
+                          TreeCase{"Greedy", greedy_list},
+                          TreeCase{"BinaryFlat", binary_flat_list},
+                          TreeCase{"GreedyFibonacci", greedy_fibonacci_list})));
+
+// Bit-identity rows: kernels on dependent tiles are ordered by the graph
+// and independent kernels touch disjoint tiles, so every schedule the pool
+// may pick — any worker count, any interleaving — reproduces the
+// sequential factors to the last bit.
+struct IdentityCase {
+  const char* name;
+  int m, n, b;
+  int threads;
+  int runs;  // repeated runs, each compared with the sequential result
+  EliminationList (*list)(int mt, int nt);
+};
+
 // Tests are named after the case: ctest takes the printed value as the
 // name suffix, and the default byte dump would include pointers.
 void PrintTo(const IdentityCase& c, std::ostream* os) { *os << c.name; }
@@ -86,12 +99,12 @@ class ExecutorIdentity : public ::testing::TestWithParam<IdentityCase> {};
 
 TEST_P(ExecutorIdentity, BitIdenticalToSequential) {
   const IdentityCase& c = GetParam();
-  Rng rng(101 + c.threads + (c.priority ? 17 : 0));
+  Rng rng(118 + c.threads);
   Matrix a0 = random_gaussian(c.m, c.n, rng);
   const EliminationList list = c.list(c.m / c.b, c.n / c.b);
   const Matrix seq =
       qr_factorize_sequential(a0, c.b, list).a().to_padded_matrix();
-  ExecutorOptions opts{c.threads, c.priority, /*data_reuse=*/true};
+  const ExecutorOptions opts{.threads = c.threads};
   for (int run = 0; run < c.runs; ++run) {
     RunStats stats;
     QRFactors f = qr_factorize_parallel(a0, c.b, list, opts, &stats);
@@ -107,21 +120,15 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(
         // Tiny tiles and a wide-fanout elimination order: far more ready
         // tasks than workers, so all eight workers contend for the queue.
-        IdentityCase{"WideFanoutTinyTiles8Workers", 120, 60, 4, 8, true, 1,
+        IdentityCase{"WideFanoutTinyTiles8Workers", 120, 60, 4, 8, 1,
                      greedy_list},
-        IdentityCase{"RepeatedRuns8Workers", 40, 20, 4, 8, true, 5,
+        IdentityCase{"RepeatedRuns8Workers", 40, 20, 4, 8, 5,
                      binary_flat_list},
-        IdentityCase{"PriorityOn1Worker", 48, 28, 4, 1, true, 1,
+        IdentityCase{"PriorityOn1Worker", 48, 28, 4, 1, 1,
                      greedy_fibonacci_list},
-        IdentityCase{"PriorityOff1Worker", 48, 28, 4, 1, false, 1,
+        IdentityCase{"PriorityOn2Workers", 48, 28, 4, 2, 1,
                      greedy_fibonacci_list},
-        IdentityCase{"PriorityOn2Workers", 48, 28, 4, 2, true, 1,
-                     greedy_fibonacci_list},
-        IdentityCase{"PriorityOff2Workers", 48, 28, 4, 2, false, 1,
-                     greedy_fibonacci_list},
-        IdentityCase{"PriorityOn8Workers", 48, 28, 4, 8, true, 1,
-                     greedy_fibonacci_list},
-        IdentityCase{"PriorityOff8Workers", 48, 28, 4, 8, false, 1,
+        IdentityCase{"PriorityOn8Workers", 48, 28, 4, 8, 1,
                      greedy_fibonacci_list}));
 
 TEST(Executor, MatchesSequentialResultBitwiseSingleThread) {
@@ -132,7 +139,7 @@ TEST(Executor, MatchesSequentialResultBitwiseSingleThread) {
   Matrix a0 = random_gaussian(24, 12, rng);
   auto list = greedy_global_list(6, 3).list;
   QRFactors seq = qr_factorize_sequential(a0, 4, list);
-  ExecutorOptions opts{1, true, true};
+  ExecutorOptions opts{.threads = 1};
   QRFactors par = qr_factorize_parallel(a0, 4, list, opts);
   Matrix rs = extract_r(seq);
   Matrix rp = extract_r(par);
@@ -142,7 +149,7 @@ TEST(Executor, MatchesSequentialResultBitwiseSingleThread) {
 TEST(Executor, ManyThreadsMoreThanTasks) {
   Rng rng(9);
   Matrix a0 = random_gaussian(4, 4, rng);
-  ExecutorOptions opts{16, true, true};
+  ExecutorOptions opts{.threads = 16};
   QRFactors f = qr_factorize_parallel(a0, 4, flat_ts_list(1, 1), opts);
   expect_exact(a0, f);
 }
@@ -154,7 +161,7 @@ TEST(Executor, RepeatedRunsAreNumericallyIdentical) {
   Matrix a0 = random_gaussian(32, 16, rng);
   HqrConfig cfg{2, 2, TreeKind::Binary, TreeKind::Flat, true};
   auto list = hqr_elimination_list(8, 4, cfg);
-  ExecutorOptions opts{4, true, true};
+  ExecutorOptions opts{.threads = 4};
   Matrix r_first = extract_r(qr_factorize_parallel(a0, 4, list, opts));
   for (int rep = 0; rep < 5; ++rep) {
     Matrix r = extract_r(qr_factorize_parallel(a0, 4, list, opts));
@@ -165,14 +172,14 @@ TEST(Executor, RepeatedRunsAreNumericallyIdentical) {
 TEST(Executor, InvalidThreadCountThrows) {
   Rng rng(13);
   Matrix a0 = random_gaussian(8, 8, rng);
-  ExecutorOptions opts{0, true, true};
+  ExecutorOptions opts{.threads = 0};
   EXPECT_THROW(qr_factorize_parallel(a0, 4, flat_ts_list(2, 2), opts), Error);
 }
 
 TEST(Executor, StatsTraceAndMetricsAgreeOnTaskCounts) {
   Rng rng(19);
   Matrix a0 = random_gaussian(48, 24, rng);
-  ExecutorOptions opts{4, true, true};
+  ExecutorOptions opts{.threads = 4};
   obs::TraceRecorder trace;
   obs::MetricsRegistry metrics;
   opts.trace = &trace;
@@ -229,7 +236,7 @@ TEST(Executor, ObservedRunCountsEveryKernelOfTheGraph) {
   std::array<long long, kKernelTypeCount> expected{};
   for (const KernelOp& op : kernels)
     ++expected[static_cast<std::size_t>(kernel_type_index(op.type))];
-  ExecutorOptions opts{3, true, true};
+  ExecutorOptions opts{.threads = 3};
   obs::MetricsRegistry metrics;
   opts.metrics = &metrics;
   RunStats stats;
@@ -254,7 +261,7 @@ TEST(Executor, MetricsOnlyRunFillsTimingBreakdowns) {
   // terminal-wait seconds are filled and published per worker lane.
   Rng rng(41);
   Matrix a0 = random_gaussian(48, 24, rng);
-  ExecutorOptions opts{3, true, true};
+  ExecutorOptions opts{.threads = 3};
   obs::MetricsRegistry metrics;
   opts.metrics = &metrics;
   RunStats stats;
@@ -281,7 +288,7 @@ TEST(Executor, MetricsOnlyRunFillsTimingBreakdowns) {
 TEST(Executor, UnobservedRunSkipsTimingBreakdowns) {
   Rng rng(23);
   Matrix a0 = random_gaussian(16, 8, rng);
-  ExecutorOptions opts{2, true, true};
+  ExecutorOptions opts{.threads = 2};
   RunStats stats;
   qr_factorize_parallel(a0, 4, flat_ts_list(4, 2), opts, &stats);
   EXPECT_TRUE(stats.busy_seconds_per_thread.empty());
@@ -296,7 +303,7 @@ TEST(Executor, OneThreadTracedRunReportsNoIdle) {
   // acquire is reported separately, never as idle.
   Rng rng(31);
   Matrix a0 = random_gaussian(32, 16, rng);
-  ExecutorOptions opts{1, true, true};
+  ExecutorOptions opts{.threads = 1};
   obs::TraceRecorder trace;
   opts.trace = &trace;
   RunStats stats;
@@ -312,7 +319,7 @@ TEST(Executor, ShutdownWaitNotBookedAsIdle) {
   // inflate the per-lane idle (stall) numbers.
   Rng rng(33);
   Matrix a0 = random_gaussian(4, 4, rng);
-  ExecutorOptions opts{8, true, true};
+  ExecutorOptions opts{.threads = 8};
   obs::TraceRecorder trace;
   opts.trace = &trace;
   RunStats stats;
@@ -328,26 +335,25 @@ TEST(Executor, ShutdownWaitNotBookedAsIdle) {
 TEST(Executor, BatchedReleaseWideFanoutStaysExact) {
   // A flat-tree panel factorization makes every trailing-column update
   // ready at once when it completes — the widest successor batches the
-  // scheduler's single-lock release path sees. With data reuse off,
-  // every one of those tasks flows through the queue; the factorization
-  // must stay at machine precision, here with inner-blocked kernels too.
+  // scheduler's single-lock release path sees. All but the one kept
+  // successor flow through the queue; the factorization must stay at
+  // machine precision, here with inner-blocked kernels too.
   Rng rng(29);
   Matrix a0 = random_gaussian(72, 40, rng);
   for (int ib : {0, 4}) {
-    ExecutorOptions opts{8, true, /*data_reuse=*/false, ib};
+    const ExecutorOptions opts{.threads = 8, .ib = ib};
     RunStats stats;
     QRFactors f = qr_factorize_parallel(a0, 8, flat_ts_list(9, 5), opts,
                                         &stats);
     expect_exact(a0, f);
-    EXPECT_EQ(stats.reuse_hits, 0);
-    EXPECT_EQ(stats.queue_pops, stats.total_tasks);
+    EXPECT_EQ(stats.reuse_hits + stats.queue_pops, stats.total_tasks);
   }
 }
 
 TEST(Executor, StressManySmallTilesManyThreads) {
   Rng rng(17);
   Matrix a0 = random_gaussian(60, 30, rng);
-  ExecutorOptions opts{8, true, true};
+  ExecutorOptions opts{.threads = 8};
   QRFactors f = qr_factorize_parallel(
       a0, 2, greedy_global_list(30, 15).list, opts);
   expect_exact(a0, f);

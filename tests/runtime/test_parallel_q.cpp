@@ -31,7 +31,7 @@ TEST_P(ParallelQ, BuildQMatchesSequentialBitwise) {
   Matrix a0 = random_gaussian(36, 20, rng);
   QRFactors f = make_factors(a0, 4);
   Matrix q_seq = build_q(f);
-  ExecutorOptions opts{threads, true, true};
+  ExecutorOptions opts{.threads = threads};
   RunStats stats;
   Matrix q_par = build_q_parallel(f, opts, &stats);
   EXPECT_EQ(max_abs_diff(q_seq.view(), q_par.view()), 0.0);
@@ -48,7 +48,7 @@ TEST_P(ParallelQ, ApplyQMatchesSequentialBitwise) {
     TiledMatrix c_seq = TiledMatrix::from_matrix(c0, 4);
     apply_q(f, trans, c_seq);
     TiledMatrix c_par = TiledMatrix::from_matrix(c0, 4);
-    ExecutorOptions opts{threads, true, true};
+    ExecutorOptions opts{.threads = threads};
     apply_q_parallel(f, trans, c_par, opts);
     Matrix ms = c_seq.to_matrix();
     Matrix mp = c_par.to_matrix();
@@ -64,7 +64,7 @@ TEST(ParallelQ, StatsCountEveryApplyTask) {
   Rng rng(35);
   Matrix a0 = random_gaussian(36, 20, rng);
   QRFactors f = make_factors(a0, 4);
-  ExecutorOptions opts{3, true, true};
+  ExecutorOptions opts{.threads = 3};
   RunStats stats;
   const Matrix q = build_q_parallel(f, opts, &stats);
   const int q_nt = (q.cols() + f.b() - 1) / f.b();
@@ -90,7 +90,7 @@ TEST(ParallelQ, RoundTripThroughRuntime) {
   QRFactors f = make_factors(a0, 3);
   Matrix c0 = random_gaussian(24, 6, rng);
   TiledMatrix c = TiledMatrix::from_matrix(c0, 3);
-  ExecutorOptions opts{4, true, true};
+  ExecutorOptions opts{.threads = 4};
   apply_q_parallel(f, Trans::Yes, c, opts);
   apply_q_parallel(f, Trans::No, c, opts);
   Matrix back = c.to_matrix();
@@ -104,7 +104,7 @@ TEST(ParallelQ, FullPipelineFactorizeBuildSolve) {
   TiledMatrix probe = TiledMatrix::from_matrix(a0, 4);
   HqrConfig cfg{2, 2, TreeKind::Binary, TreeKind::Flat, false};
   auto list = hqr_elimination_list(probe.mt(), probe.nt(), cfg);
-  ExecutorOptions opts{4, true, true};
+  ExecutorOptions opts{.threads = 4};
   QRFactors f = qr_factorize_parallel(a0, 4, list, opts);
   Matrix q = build_q_parallel(f, opts);
   EXPECT_LT(orthogonality_error(q.view()), 1e-12);
@@ -118,7 +118,7 @@ TEST(ParallelQ, MismatchedTilesThrow) {
   Matrix a0 = random_gaussian(8, 8, rng);
   QRFactors f = make_factors(a0, 4);
   TiledMatrix c(8, 4, 2);
-  ExecutorOptions opts{2, true, true};
+  ExecutorOptions opts{.threads = 2};
   EXPECT_THROW(apply_q_parallel(f, Trans::Yes, c, opts), Error);
 }
 

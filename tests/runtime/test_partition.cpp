@@ -147,10 +147,7 @@ TEST(Partition, TwoCrossWiredEnginesCoverTheGraph) {
 TEST(Partition, SingleLaneEnginesWaitOnRemoteCompletions) {
   ExecutorOptions opts;
   opts.threads = 1;
-  ExecutorOptions fifo = opts;
-  fifo.priority_scheduling = false;
-  fifo.data_reuse = false;
-  expect_cross_wired_exact({opts, fifo});
+  expect_cross_wired_exact({opts, opts});
 }
 
 // A traced slice records one span per local task and nothing for the

@@ -141,19 +141,6 @@ TEST(Simulator, ZeroLatencyInfiniteBandwidthMatchesSharedMemory) {
   EXPECT_LT(dist6.seconds, shared.seconds * 2.0);
 }
 
-TEST(Simulator, PrioritySchedulingHelpsOrEqualsFifo) {
-  SimOptions o = small_opts();
-  o.priority_scheduling = true;
-  SimOptions fifo = o;
-  fifo.priority_scheduling = false;
-  const int mt = 48, nt = 12;
-  HqrConfig cfg{3, 2, TreeKind::Greedy, TreeKind::Fibonacci, true};
-  auto run = make_hqr_run(mt, nt, cfg, 2);
-  auto rp = simulate_algorithm(run, mt * o.b, nt * o.b, o);
-  auto rf = simulate_algorithm(run, mt * o.b, nt * o.b, fifo);
-  EXPECT_LE(rp.seconds, rf.seconds * 1.10);
-}
-
 TEST(Simulator, TraceCoversEveryTaskConsistently) {
   SimOptions o = small_opts();
   SimTrace trace;
@@ -234,7 +221,7 @@ TEST(Simulator, TraceCsvRoundTrips) {
   std::ifstream in(path);
   std::string line;
   std::getline(in, line);
-  EXPECT_EQ(line, "task,lane,sub,kernel,start,end,accel,row,piv,k,j");
+  EXPECT_EQ(line, "task,lane,sub,kernel,start,end,row,piv,k,j");
   do {  // skip '#' metadata lines
     std::getline(in, line);
   } while (!line.empty() && line[0] == '#');
