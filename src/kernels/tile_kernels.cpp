@@ -13,6 +13,52 @@ int check_panels(int b, int ib) {
   return (b + ib - 1) / ib;
 }
 
+// The one compact-WY apply of every kernel: [C1; C2] <- op(Q) [C1; C2]
+// with Q = I - [E; V] T [E; V]^T, E the identity rows of C1 (k x n) over
+// V (m x k) and C2 (m x n):
+//   W = C1 + V^T C2;  W = op(T) W;  C1 -= W;  C2 -= V W.
+// C1 may be empty (GEQRT/UNMQR pass MatrixView()): then V carries the
+// panel's unit diagonal itself and W = V^T C2. Both products run on the
+// packed gemm.
+void apply_wy(Trans trans, MatrixView c1, ConstMatrixView v,
+              ConstMatrixView t, MatrixView c2, TileWorkspace& ws) {
+  MatrixView w = ws.w1().block(0, 0, v.cols, c2.cols);
+  const bool has_c1 = c1.rows > 0;
+  if (has_c1) copy(c1, w);
+  gemm(Trans::Yes, Trans::No, 1.0, v, c2, has_c1 ? 1.0 : 0.0, w,
+       ws.gemm_ws());
+  trmm_left(UpLo::Upper, trans, Diag::NonUnit, t, w);
+  if (has_c1) axpy(-1.0, w, c1);
+  gemm(Trans::No, Trans::No, -1.0, v, w, 1.0, c2, ws.gemm_ws());
+}
+
+// Dense copy of the unit-lower GEQRT panel v (m x w) into ws.w2(): its
+// strict lower part, an explicit unit diagonal and zeros above. Only the
+// strict lower triangle of v is read (the R above it is another kernel's
+// output). One gemm on this panel beats splitting off its w x w triangle:
+// at ib <= 128 that triangle would run on the scalar trmm loops.
+ConstMatrixView load_unit_panel(ConstMatrixView v, TileWorkspace& ws) {
+  MatrixView wp = ws.w2().block(0, 0, v.rows, v.cols);
+  for (int l = 0; l < v.cols; ++l) {
+    for (int r = 0; r < l; ++r) wp(r, l) = 0.0;
+    wp(l, l) = 1.0;
+    for (int r = l + 1; r < v.rows; ++r) wp(r, l) = v(r, l);
+  }
+  return wp;
+}
+
+// Zero-padded copy of the triangular V2 panel of a TTQRT factorization into
+// ws.w2(): column l (global j0 + l) has stored rows 0 .. j0+l; everything
+// below is another kernel's data and must read as zero.
+ConstMatrixView load_tt_panel(ConstMatrixView v2, int j0, int w,
+                              TileWorkspace& ws) {
+  MatrixView wp = ws.w2().block(0, 0, j0 + w, w);
+  set_zero(wp);
+  for (int l = 0; l < w; ++l)
+    for (int r = 0; r <= j0 + l; ++r) wp(r, l) = v2(r, j0 + l);
+  return wp;
+}
+
 }  // namespace
 
 void geqrt_ib(MatrixView a, MatrixView t, int ib, TileWorkspace& ws) {
@@ -44,8 +90,8 @@ void geqrt_ib(MatrixView a, MatrixView t, int ib, TileWorkspace& ws) {
     // Block-apply the panel reflector to the trailing tile columns.
     const int trailing = b - (j0 + w);
     if (trailing > 0) {
-      MatrixView c = a.block(j0, j0 + w, b - j0, trailing);
-      larfb_left(Trans::Yes, v, tp, c, ws.w1(), &ws.gemm_ws());
+      apply_wy(Trans::Yes, MatrixView(), load_unit_panel(v, ws), tp,
+               a.block(j0, j0 + w, b - j0, trailing), ws);
     }
   }
 }
@@ -61,10 +107,9 @@ void unmqr_ib(ConstMatrixView v, ConstMatrixView t, int ib, Trans trans,
     const int p = trans == Trans::Yes ? pi : panels - 1 - pi;
     const int j0 = p * ib;
     const int w = std::min(ib, b - j0);
-    ConstMatrixView vp = v.block(j0, j0, b - j0, w);
-    ConstMatrixView tp = t.block(0, j0, w, w);
-    MatrixView cc = c.block(j0, 0, b - j0, c.cols);
-    larfb_left(trans, vp, tp, cc, ws.w1(), &ws.gemm_ws());
+    apply_wy(trans, MatrixView(),
+             load_unit_panel(v.block(j0, j0, b - j0, w), ws),
+             t.block(0, j0, w, w), c.block(j0, 0, b - j0, c.cols), ws);
   }
 }
 
@@ -113,15 +158,9 @@ void tsqrt_ib(MatrixView a1, MatrixView a2, MatrixView t, int ib,
     // V = [E_p; V2p] with E_p the identity columns at panel rows.
     const int trailing = b - (j0 + w);
     if (trailing > 0) {
-      ConstMatrixView v2p = a2.block(0, j0, b, w);
-      MatrixView c1p = a1.block(j0, j0 + w, w, trailing);
-      MatrixView c2p = a2.block(0, j0 + w, b, trailing);
-      MatrixView wk = ws.w1().block(0, 0, w, trailing);
-      copy(c1p, wk);
-      gemm(Trans::Yes, Trans::No, 1.0, v2p, c2p, 1.0, wk, ws.gemm_ws());
-      trmm_left(UpLo::Upper, Trans::Yes, Diag::NonUnit, tp, wk);
-      axpy(-1.0, wk, c1p);
-      gemm(Trans::No, Trans::No, -1.0, v2p, wk, 1.0, c2p, ws.gemm_ws());
+      apply_wy(Trans::Yes, a1.block(j0, j0 + w, w, trailing),
+               a2.block(0, j0, b, w), tp, a2.block(0, j0 + w, b, trailing),
+               ws);
     }
   }
 }
@@ -136,30 +175,10 @@ void tsmqr_ib(MatrixView c1, MatrixView c2, ConstMatrixView v2,
     const int p = trans == Trans::Yes ? pi : panels - 1 - pi;
     const int j0 = p * ib;
     const int w = std::min(ib, b - j0);
-    ConstMatrixView v2p = v2.block(0, j0, b, w);
-    ConstMatrixView tp = t.block(0, j0, w, w);
-    MatrixView c1p = c1.block(j0, 0, w, c1.cols);
-    MatrixView wk = ws.w1().block(0, 0, w, c1.cols);
-    copy(c1p, wk);
-    gemm(Trans::Yes, Trans::No, 1.0, v2p, c2, 1.0, wk, ws.gemm_ws());
-    trmm_left(UpLo::Upper, trans, Diag::NonUnit, tp, wk);
-    axpy(-1.0, wk, c1p);
-    gemm(Trans::No, Trans::No, -1.0, v2p, wk, 1.0, c2, ws.gemm_ws());
+    apply_wy(trans, c1.block(j0, 0, w, c1.cols), v2.block(0, j0, b, w),
+             t.block(0, j0, w, w), c2, ws);
   }
 }
-
-namespace {
-
-// Zero-padded copy of the triangular V2 panel of a TTQRT factorization:
-// column l (global j0 + l) has stored rows 0 .. j0+l; everything below is
-// another kernel's data and must read as zero.
-void load_tt_panel(ConstMatrixView v2, int j0, int w, MatrixView wp) {
-  set_zero(wp);
-  for (int l = 0; l < w; ++l)
-    for (int r = 0; r <= j0 + l; ++r) wp(r, l) = v2(r, j0 + l);
-}
-
-}  // namespace
 
 void ttqrt_ib(MatrixView a1, MatrixView a2, MatrixView t, int ib,
               TileWorkspace& ws) {
@@ -200,17 +219,10 @@ void ttqrt_ib(MatrixView a1, MatrixView a2, MatrixView t, int ib,
     }
     const int trailing = b - (j0 + w);
     if (trailing > 0) {
-      const int rows = j0 + w;  // V2 panel support
-      MatrixView wp = ws.w2().block(0, 0, rows, w);
-      load_tt_panel(a2, j0, w, wp);
-      MatrixView c1p = a1.block(j0, j0 + w, w, trailing);
-      MatrixView c2p = a2.block(0, j0 + w, rows, trailing);
-      MatrixView wk = ws.w1().block(0, 0, w, trailing);
-      copy(c1p, wk);
-      gemm(Trans::Yes, Trans::No, 1.0, wp, c2p, 1.0, wk, ws.gemm_ws());
-      trmm_left(UpLo::Upper, Trans::Yes, Diag::NonUnit, tp, wk);
-      axpy(-1.0, wk, c1p);
-      gemm(Trans::No, Trans::No, -1.0, wp, wk, 1.0, c2p, ws.gemm_ws());
+      // The V2 panel's support is its first j0 + w rows.
+      apply_wy(Trans::Yes, a1.block(j0, j0 + w, w, trailing),
+               load_tt_panel(a2, j0, w, ws), tp,
+               a2.block(0, j0 + w, j0 + w, trailing), ws);
     }
   }
 }
@@ -225,18 +237,8 @@ void ttmqr_ib(MatrixView c1, MatrixView c2, ConstMatrixView v2,
     const int p = trans == Trans::Yes ? pi : panels - 1 - pi;
     const int j0 = p * ib;
     const int w = std::min(ib, b - j0);
-    const int rows = j0 + w;
-    MatrixView wp = ws.w2().block(0, 0, rows, w);
-    load_tt_panel(v2, j0, w, wp);
-    ConstMatrixView tp = t.block(0, j0, w, w);
-    MatrixView c1p = c1.block(j0, 0, w, c1.cols);
-    MatrixView c2p = c2.block(0, 0, rows, c2.cols);
-    MatrixView wk = ws.w1().block(0, 0, w, c1.cols);
-    copy(c1p, wk);
-    gemm(Trans::Yes, Trans::No, 1.0, wp, c2p, 1.0, wk, ws.gemm_ws());
-    trmm_left(UpLo::Upper, trans, Diag::NonUnit, tp, wk);
-    axpy(-1.0, wk, c1p);
-    gemm(Trans::No, Trans::No, -1.0, wp, wk, 1.0, c2p, ws.gemm_ws());
+    apply_wy(trans, c1.block(j0, 0, w, c1.cols), load_tt_panel(v2, j0, w, ws),
+             t.block(0, j0, w, w), c2.block(0, 0, j0 + w, c2.cols), ws);
   }
 }
 

@@ -80,7 +80,7 @@ void larft_column(ConstMatrixView v, int j, double tau, MatrixView t) {
 }
 
 void larfb_left(Trans trans, ConstMatrixView v, ConstMatrixView t, MatrixView c,
-                MatrixView work, GemmWorkspace* gws) {
+                MatrixView work) {
   const int m = c.rows;
   const int n = c.cols;
   const int k = v.cols;
@@ -88,28 +88,21 @@ void larfb_left(Trans trans, ConstMatrixView v, ConstMatrixView t, MatrixView c,
   HQR_CHECK(work.rows >= k && work.cols >= n, "larfb work too small");
   if (k == 0) return;
   MatrixView w = work.block(0, 0, k, n);
-  const auto mm = [&](Trans ta, Trans tb, double alpha, ConstMatrixView ma,
-                      ConstMatrixView mb, double beta, MatrixView mc) {
-    if (gws)
-      gemm(ta, tb, alpha, ma, mb, beta, mc, *gws);
-    else
-      gemm(ta, tb, alpha, ma, mb, beta, mc);
-  };
 
   // W = V^T * C with V unit-lower-trapezoidal:
   // top k x k block is unit lower triangular, bottom (m-k) x k is dense.
   copy(c.block(0, 0, k, n), w);
   trmm_left(UpLo::Lower, Trans::Yes, Diag::Unit, v.block(0, 0, k, k), w);
   if (m > k) {
-    mm(Trans::Yes, Trans::No, 1.0, v.block(k, 0, m - k, k),
-       c.block(k, 0, m - k, n), 1.0, w);
+    gemm(Trans::Yes, Trans::No, 1.0, v.block(k, 0, m - k, k),
+         c.block(k, 0, m - k, n), 1.0, w);
   }
   // W = op(T) * W.
   trmm_left(UpLo::Upper, trans, Diag::NonUnit, t, w);
   // C -= V * W.
   if (m > k) {
-    mm(Trans::No, Trans::No, -1.0, v.block(k, 0, m - k, k), w, 1.0,
-       c.block(k, 0, m - k, n));
+    gemm(Trans::No, Trans::No, -1.0, v.block(k, 0, m - k, k), w, 1.0,
+         c.block(k, 0, m - k, n));
   }
   // Top block: C(0:k,:) -= V1 * W with V1 unit lower triangular.
   // Compute V1 * W into a temporary path: reuse w in place.

@@ -31,10 +31,9 @@ void larft_column(ConstMatrixView v, int j, double tau, MatrixView t);
 
 // Applies the block reflector Q = I - V T V^T (or Q^T) from the left to C.
 // V is m x k unit-lower-trapezoidal, T is k x k upper triangular.
-// work must be k x C.cols. `gws` (optional) supplies reusable GEMM packing
-// buffers — kernel code passes its TileWorkspace's buffers so no task
-// allocates; when null a thread-local workspace is used.
+// work must be k x C.cols. The reference path of ref_qr; the tile kernels
+// apply their reflectors through their own compact-WY apply.
 void larfb_left(Trans trans, ConstMatrixView v, ConstMatrixView t, MatrixView c,
-                MatrixView work, GemmWorkspace* gws = nullptr);
+                MatrixView work);
 
 }  // namespace hqr

@@ -1,5 +1,6 @@
 #include "net/comm.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 #include <poll.h>
@@ -324,7 +325,10 @@ void Comm::handle_control(std::vector<int>& replaced) {
       ++epoch_[static_cast<std::size_t>(q)];
       ++counters_.peers_replaced;
     }
-    replaced.push_back(q);
+    // Several re-wires of one link drained together install only the
+    // last; the hook replays history once into that link.
+    if (std::find(replaced.begin(), replaced.end(), q) == replaced.end())
+      replaced.push_back(q);
   }
 }
 

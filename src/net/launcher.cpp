@@ -369,37 +369,34 @@ LaunchReport run_ranks_report(int nranks,
           continue;  // deaths handled at the top of the next iteration
         }
         // Both endpoints live: chaos DropLink. Re-wire just this link.
-        // "Live" is only as fresh as the waitpid above — either endpoint
-        // can be mid-exit (mesh sockets already closed, process not yet
-        // reaped), in which case the sendmsg reports EPIPE, or ECONNRESET
-        // if it died with unread control data queued. A failed send means
-        // that endpoint is going away: count only the sends that landed so
-        // the epoch book matches what each rank actually received, and let
-        // the reap pass classify the death. A half-rewired link self-heals
-        // — the installed end sees EOF (its peer fd closes with `pair`)
-        // and reports LinkDown at the bumped epoch.
+        // "Live" is only as fresh as the waitpid above: a SIGKILLed q's
+        // sockets close before it is reapable, and its send then reports
+        // EPIPE (ECONNRESET with unread control data queued). So q gets
+        // its end first, and if it cannot, s's link stays down for the
+        // rank recovery to re-wire: a new link to a dying q would close
+        // at once, and each such round would replay s's SentTileLog into
+        // a dead socket. If only s's send fails, q's half-rewired link
+        // sees EOF (its peer fd closes with `pair`) and reports LinkDown
+        // at the bumped epoch. Count only the sends that landed, so the
+        // epoch book matches what each rank received.
         auto pair = stream_pair();
-        bool sent_s = false;
-        bool sent_q = false;
-        try {
-          send_control(ctrl[static_cast<std::size_t>(s)].get(),
-                       ControlOp::ReplacePeer, q, 0, pair.first.get());
-          sent_s = true;
-        } catch (const std::exception&) {
-        }
         try {
           send_control(ctrl[static_cast<std::size_t>(q)].get(),
                        ControlOp::ReplacePeer, s, 0, pair.second.get());
-          sent_q = true;
         } catch (const std::exception&) {
+          continue;
         }
-        if (sent_s)
-          ++sent_replace[static_cast<std::size_t>(s)]
-                        [static_cast<std::size_t>(q)];
-        if (sent_q)
-          ++sent_replace[static_cast<std::size_t>(q)]
-                        [static_cast<std::size_t>(s)];
-        if (sent_s && sent_q) ++report.links_rewired;
+        ++sent_replace[static_cast<std::size_t>(q)]
+                      [static_cast<std::size_t>(s)];
+        try {
+          send_control(ctrl[static_cast<std::size_t>(s)].get(),
+                       ControlOp::ReplacePeer, q, 0, pair.first.get());
+        } catch (const std::exception&) {
+          continue;
+        }
+        ++sent_replace[static_cast<std::size_t>(s)]
+                      [static_cast<std::size_t>(q)];
+        ++report.links_rewired;
       }
     }
   }  // the guard reaps every rank still running

@@ -6,11 +6,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "linalg/micro_kernel.hpp"
 #include "linalg/norms.hpp"
 #include "linalg/random_matrix.hpp"
 #include "linalg/ref_qr.hpp"
@@ -361,6 +365,112 @@ TEST(KernelEdgeCases, TsqrtWithZeroSquareIsIdentity) {
   EXPECT_LT(max_abs_diff(a1.view(), r1.view()), 1e-15);
   EXPECT_EQ(max_norm(t.view()), 0.0);
 }
+
+// Bitwise equality of two same-shape views (NaN-safe: compares the bits).
+bool same_bits(ConstMatrixView a, ConstMatrixView b) {
+  if (a.rows != b.rows || a.cols != b.cols) return false;
+  for (int j = 0; j < a.cols; ++j)
+    if (std::memcmp(a.col(j).data, b.col(j).data, sizeof(double) * a.rows) !=
+        0)
+      return false;
+  return true;
+}
+
+// The update kernels read only what their factorization owns: UNMQR only
+// V's strict lower triangle (the tile's R lives on and above the diagonal),
+// TTMQR only V2's upper triangle (the rows below it hold another kernel's
+// data). NaN in any entry they read would propagate into C.
+TEST(KernelOwnership, UpdatesReadOnlyTheReflectorTheyOwn) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const auto& [b, ib] : {std::pair{13, 4}, std::pair{64, 16},
+                              std::pair{8, 8}}) {
+    SCOPED_TRACE(::testing::Message() << "b=" << b << " ib=" << ib);
+    Rng rng(b * 53);
+    TileWorkspace ws(b);
+    Matrix v = random_gaussian(b, b, rng);
+    Matrix t(b, b);
+    geqrt_ib(v.view(), t.view(), ib, ws);
+    Matrix v_poisoned = v;
+    for (int j = 0; j < b; ++j)
+      for (int i = 0; i <= j; ++i) v_poisoned(i, j) = nan;
+
+    Matrix a1 = random_gaussian(b, b, rng);
+    Matrix v2 = random_gaussian(b, b, rng);
+    Matrix t2(b, b);
+    ttqrt_ib(a1.view(), v2.view(), t2.view(), ib, ws);
+    Matrix v2_poisoned = v2;
+    for (int j = 0; j < b; ++j)
+      for (int i = j + 1; i < b; ++i) v2_poisoned(i, j) = nan;
+
+    const Matrix c1_0 = random_gaussian(b, b, rng);
+    const Matrix c2_0 = random_gaussian(b, b, rng);
+    for (const Trans trans : {Trans::Yes, Trans::No}) {
+      Matrix clean = c1_0, poisoned = c1_0;
+      unmqr_ib(v.view(), t.view(), ib, trans, clean.view(), ws);
+      unmqr_ib(v_poisoned.view(), t.view(), ib, trans, poisoned.view(), ws);
+      EXPECT_TRUE(same_bits(clean.view(), poisoned.view())) << "unmqr";
+
+      Matrix c1 = c1_0, c2 = c2_0, p1 = c1_0, p2 = c2_0;
+      ttmqr_ib(c1.view(), c2.view(), v2.view(), t2.view(), ib, trans, ws);
+      ttmqr_ib(p1.view(), p2.view(), v2_poisoned.view(), t2.view(), ib, trans,
+               ws);
+      EXPECT_TRUE(same_bits(c1.view(), p1.view())) << "ttmqr C1";
+      EXPECT_TRUE(same_bits(c2.view(), p2.view())) << "ttmqr C2";
+    }
+  }
+}
+
+#ifdef __FMA__
+// Every output of the six kernels on one set of inputs: the factored tiles
+// and T factors of GEQRT/TSQRT/TTQRT and the tiles UNMQR/TSMQR/TTMQR
+// update, each update fed by the factorization before it.
+std::vector<Matrix> run_all_kernels(int b, int ib) {
+  Rng rng(b * 59 + ib);
+  TileWorkspace ws(b);
+  Matrix a = random_gaussian(b, b, rng), t(b, b);
+  geqrt_ib(a.view(), t.view(), ib, ws);
+  Matrix c = random_gaussian(b, b, rng);
+  unmqr_ib(a.view(), t.view(), ib, Trans::Yes, c.view(), ws);
+
+  Matrix ts2 = random_gaussian(b, b, rng), tst(b, b);
+  tsqrt_ib(a.view(), ts2.view(), tst.view(), ib, ws);
+  Matrix ts_c1 = random_gaussian(b, b, rng);
+  Matrix ts_c2 = random_gaussian(b, b, rng);
+  tsmqr_ib(ts_c1.view(), ts_c2.view(), ts2.view(), tst.view(), ib,
+           Trans::Yes, ws);
+
+  Matrix tt1 = random_gaussian(b, b, rng), tt2 = random_gaussian(b, b, rng);
+  Matrix ttt(b, b);
+  ttqrt_ib(tt1.view(), tt2.view(), ttt.view(), ib, ws);
+  Matrix tt_c1 = random_gaussian(b, b, rng);
+  Matrix tt_c2 = random_gaussian(b, b, rng);
+  ttmqr_ib(tt_c1.view(), tt_c2.view(), tt2.view(), ttt.view(), ib, Trans::No,
+           ws);
+  return {a, t, c, ts2, tst, ts_c1, ts_c2, tt1, tt2, ttt, tt_c1, tt_c2};
+}
+
+// The ISA contract at kernel level: every GEMM micro-kernel forms each
+// element as the same ascending-k FMA chain, so all six kernels must give
+// the same bits under every supported micro-kernel as under portable.
+TEST(KernelIsaContract, SixKernelsBitIdenticalUnderEveryMicroKernel) {
+  TileWorkspace warm(4);  // resolves the per-host tuning before the loop
+  const MicroKernel& saved = active_micro_kernel();
+  for (const auto& [b, ib] : {std::array{64, 16}, std::array{128, 32},
+                              std::array{200, 32}, std::array{13, 4}}) {
+    ASSERT_TRUE(set_active_micro_kernel("portable"));
+    const std::vector<Matrix> ref = run_all_kernels(b, ib);
+    for (const MicroKernel& k : micro_kernel_registry()) {
+      if (!micro_kernel_isa_supported(k.isa)) continue;
+      ASSERT_TRUE(set_active_micro_kernel(k.name));
+      const std::vector<Matrix> got = run_all_kernels(b, ib);
+      for (std::size_t i = 0; i < ref.size(); ++i)
+        EXPECT_TRUE(same_bits(got[i].view(), ref[i].view()))
+            << k.name << " b=" << b << " ib=" << ib << " output " << i;
+    }
+  }
+  set_active_micro_kernel(saved);
+}
+#endif  // __FMA__
 
 TEST(IbKernels, BadIbThrows) {
   TileWorkspace ws(4);
